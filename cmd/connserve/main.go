@@ -12,7 +12,7 @@
 // POST /v1/insert (batched edge insertion into the incremental layer,
 // unless -incremental=false), GET /v1/stats, GET /v1/healthz (see
 // internal/serve), GET /metrics (Prometheus text: request counters, error
-// taxonomy, rolling latency quantiles, runtime series), plus the obshttp
+// taxonomy, request-latency histograms, runtime series), plus the obshttp
 // debug surface (/debug/parconn, /debug/vars, /debug/pprof/) fed by the
 // labeling run.
 //

@@ -476,8 +476,8 @@ func TestShutdownWhileDrainingInFlight(t *testing.T) {
 // TestMetricsEndpoint is the metrics-smoke check: boot the full server,
 // drive a little traffic, scrape /metrics, and validate both the exposition
 // format and the presence of every required series family — request
-// counters, error taxonomy, rolling quantile gauges, cumulative duration
-// histograms, and runtime metrics. It also pins the trace-ID header and the
+// counters, error taxonomy, cumulative duration histograms (the same ones
+// /v1/stats summarizes), and runtime metrics. It also pins the trace-ID header and the
 // -request-trace JSONL span file end to end.
 func TestMetricsEndpoint(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -567,14 +567,15 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("/metrics body does not parse: %v", err)
 	}
 	expect := map[string]float64{
-		`parconn_http_requests_total{endpoint="component"}`:                 6,
-		`parconn_http_requests_total{endpoint="batch"}`:                     1,
-		`parconn_http_requests_total{endpoint="insert"}`:                    1,
-		`parconn_http_errors_total{endpoint="component",class="4xx"}`:       1,
-		`parconn_http_request_duration_seconds_count{endpoint="component"}`: 6,
-		`parconn_http_spans_sampled_total`:                                  8,
-		`parconn_ready`:                                                     1,
-		`parconn_published_epoch`:                                           1,
+		`parconn_http_requests_total{endpoint="component"}`:                            6,
+		`parconn_http_requests_total{endpoint="batch"}`:                                1,
+		`parconn_http_requests_total{endpoint="insert"}`:                               1,
+		`parconn_http_errors_total{endpoint="component",class="4xx"}`:                  1,
+		`parconn_http_request_duration_seconds_count{endpoint="component"}`:            6,
+		`parconn_http_request_duration_seconds_bucket{endpoint="component",le="+Inf"}`: 6,
+		`parconn_http_spans_sampled_total`:                                             8,
+		`parconn_ready`:                                                                1,
+		`parconn_published_epoch`:                                                      1,
 	}
 	for key, want := range expect {
 		got, ok := parsed[key]
@@ -587,9 +588,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	for _, key := range []string{
-		`parconn_http_rolling_latency_seconds{endpoint="component",quantile="0.5"}`,
-		`parconn_http_rolling_latency_seconds{endpoint="component",quantile="0.95"}`,
-		`parconn_http_rolling_latency_seconds{endpoint="component",quantile="0.99"}`,
 		`parconn_http_errors_total{endpoint="insert",class="read_only"}`,
 		`parconn_http_inflight_requests`,
 		"parconn_goroutines",
@@ -600,8 +598,27 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("/metrics missing %s", key)
 		}
 	}
-	if parsed[`parconn_http_rolling_latency_seconds{endpoint="component",quantile="0.99"}`] <= 0 {
-		t.Error("rolling P99 is zero right after traffic")
+	if parsed[`parconn_http_request_duration_seconds_sum{endpoint="component"}`] <= 0 {
+		t.Error("component duration sum is zero right after traffic")
+	}
+	// /v1/stats and /metrics read one histogram per endpoint, so their
+	// component counts agree.
+	statsResp, err := client.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Endpoints map[string]struct {
+			Count int64 `json:"count"`
+		} `json:"endpoints"`
+	}
+	err = json.NewDecoder(statsResp.Body).Decode(&stats)
+	statsResp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := float64(stats.Endpoints["component"].Count), parsed[`parconn_http_request_duration_seconds_count{endpoint="component"}`]; got != want {
+		t.Errorf("/v1/stats component count = %v, /metrics count = %v", got, want)
 	}
 
 	// Shutdown flushes the span trace; every request above was sampled.
@@ -623,7 +640,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("span trace invalid: %v", err)
 	}
-	if sum.Spans != 8 {
-		t.Fatalf("span trace holds %d spans, want 8", sum.Spans)
+	if sum.Spans != 9 { // the eight scraped above plus the /v1/stats read
+		t.Fatalf("span trace holds %d spans, want 9", sum.Spans)
 	}
 }

@@ -52,12 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runDiff(args[1:], stdout, stderr)
 	case "speedup":
 		return runSpeedup(args[1:], stdout, stderr)
-	case "serve":
-		return runServe(args[1:], stdout, stderr)
-	case "churn":
-		return runChurn(args[1:], stdout, stderr)
-	case "slo":
-		return runSlo(args[1:], stdout, stderr)
 	default:
 		fmt.Fprintf(stderr, "tracestat: unknown subcommand %q\n", args[0])
 		usage(stderr)
@@ -70,20 +64,12 @@ func usage(w io.Writer) {
   tracestat summary TRACE.jsonl
   tracestat diff [-tol N] [-floor DUR] [-input NAME] BASE NEW.jsonl
   tracestat speedup [-algorithm NAME] [-efficiency-floor F] BENCH_speedup.json
-  tracestat serve [-tol N] [-floor DUR] BASE_serve.json NEW_serve.json
-  tracestat churn [-tol N] [-floor DUR] BASE_churn.json NEW_churn.json
-  tracestat slo [-min F] [-drop F] BASE.json NEW.json
 
 BASE is either a JSONL trace or a BENCH_parconn.json benchmark report
 (detected by shape). Speedup gates a cmd/bench -experiment speedup report:
-every point of the gated algorithm must reach the efficiency floor. Serve
-diffs two cmd/bench -experiment serve reports per workload: latency
-quantiles regress past base*tol (above the floor), QPS regresses below
-base/tol. Churn does the same per insert fraction of two cmd/bench
--experiment churn reports, gating query QPS plus insert-batch latency. Slo
-diffs the SLO-attainment columns of two serve or churn reports: a row
-regresses when its attainment falls below -min or drops more than -drop
-from the baseline; rows without SLO data (slo_windows 0) are skipped.
+every point of the gated algorithm must reach the efficiency floor.
+Serving and churn are measured and compared by perfbench (see
+perfbench/README.md), not here.
 `)
 }
 
@@ -544,446 +530,6 @@ func runSpeedup(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(stdout, "tracestat: %s holds efficiency >= %.2f at all %d swept setting(s)\n", *alg, *floor, gated)
-	return 0
-}
-
-// serveReport mirrors the subset of internal/bench's BENCH_serve.json
-// schema this tool gates on (local for the same reason as benchBaseline).
-type serveReport struct {
-	Env     parconn.Env `json:"env"`
-	Results []struct {
-		Workload string  `json:"workload"`
-		Requests int64   `json:"requests"`
-		Errors   int64   `json:"errors"`
-		QPS      float64 `json:"qps"`
-		P50NS    int64   `json:"p50_ns"`
-		P95NS    int64   `json:"p95_ns"`
-		P99NS    int64   `json:"p99_ns"`
-	} `json:"results"`
-}
-
-func loadServeReport(path string) (serveReport, error) {
-	var rep serveReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
-	}
-	if err := json.Unmarshal(data, &rep); err != nil || len(rep.Results) == 0 {
-		return rep, fmt.Errorf("%s: not a serve report", path)
-	}
-	for _, r := range rep.Results {
-		if r.Workload == "" {
-			return rep, fmt.Errorf("%s: not a serve report (result without workload)", path)
-		}
-	}
-	return rep, nil
-}
-
-// runServe diffs two serving benchmark reports (cmd/bench -experiment
-// serve) per workload. A latency quantile regresses when the new value
-// exceeds base*tol AND the absolute increase exceeds the floor; QPS
-// regresses when the new value drops below base/tol. Tail quantiles of a
-// loaded HTTP server are noisy, so CI should pass a loose -tol.
-func runServe(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("tracestat serve", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		tol   = fs.Float64("tol", 2.0, "regression threshold: latency new > base*tol, QPS new < base/tol")
-		floor = fs.Duration("floor", 200*time.Microsecond, "ignore latency regressions whose absolute increase is below this duration")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() != 2 {
-		usage(stderr)
-		return 2
-	}
-	if *tol <= 1 {
-		fmt.Fprintln(stderr, "tracestat: -tol must be greater than 1")
-		return 2
-	}
-	base, err := loadServeReport(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(stderr, "tracestat: %v\n", err)
-		return 2
-	}
-	cur, err := loadServeReport(fs.Arg(1))
-	if err != nil {
-		fmt.Fprintf(stderr, "tracestat: %v\n", err)
-		return 2
-	}
-	if diffs := base.Env.Mismatch(cur.Env); len(diffs) > 0 {
-		fmt.Fprintf(stderr, "tracestat: WARNING: environment mismatch (throughput not directly comparable): %s\n",
-			strings.Join(diffs, "; "))
-	}
-
-	type row struct{ base, cur int }
-	byWorkload := map[string]*row{}
-	for i, r := range base.Results {
-		byWorkload[r.Workload] = &row{base: i, cur: -1}
-	}
-	for i, r := range cur.Results {
-		if w := byWorkload[r.Workload]; w != nil {
-			w.cur = i
-		} else {
-			byWorkload[r.Workload] = &row{base: -1, cur: i}
-		}
-	}
-	names := make([]string, 0, len(byWorkload))
-	for w := range byWorkload {
-		names = append(names, w)
-	}
-	sort.Strings(names)
-
-	regressions := 0
-	compared := 0
-	fmt.Fprintf(stdout, "%-8s %-6s %12s %12s %8s\n", "workload", "metric", "base", "new", "ratio")
-	for _, name := range names {
-		w := byWorkload[name]
-		if w.base < 0 || w.cur < 0 {
-			fmt.Fprintf(stdout, "%-8s %-6s %12s %12s %8s  (missing on one side)\n", name, "-", "-", "-", "-")
-			continue
-		}
-		b, c := base.Results[w.base], cur.Results[w.cur]
-		compared++
-		lat := []struct {
-			metric string
-			baseNS int64
-			curNS  int64
-		}{
-			{"p50", b.P50NS, c.P50NS},
-			{"p95", b.P95NS, c.P95NS},
-			{"p99", b.P99NS, c.P99NS},
-		}
-		for _, l := range lat {
-			verdict := "ok"
-			if l.curNS > int64(float64(l.baseNS)**tol) && l.curNS-l.baseNS > floor.Nanoseconds() {
-				regressions++
-				verdict = fmt.Sprintf("REGRESSION (+%v > %v floor)", roundDur(time.Duration(l.curNS-l.baseNS)), *floor)
-			}
-			ratio := 0.0
-			if l.baseNS > 0 {
-				ratio = float64(l.curNS) / float64(l.baseNS)
-			}
-			fmt.Fprintf(stdout, "%-8s %-6s %12v %12v %7.2fx  %s\n",
-				name, l.metric, roundDur(time.Duration(l.baseNS)), roundDur(time.Duration(l.curNS)), ratio, verdict)
-		}
-		verdict := "ok"
-		if c.QPS < b.QPS / *tol {
-			regressions++
-			verdict = fmt.Sprintf("REGRESSION (below base/%.2f)", *tol)
-		}
-		ratio := 0.0
-		if b.QPS > 0 {
-			ratio = c.QPS / b.QPS
-		}
-		fmt.Fprintf(stdout, "%-8s %-6s %12.0f %12.0f %7.2fx  %s\n", name, "qps", b.QPS, c.QPS, ratio, verdict)
-		if c.Errors > 0 && b.Errors == 0 {
-			regressions++
-			fmt.Fprintf(stdout, "%-8s %-6s %12d %12d %8s  REGRESSION (new errors)\n", name, "errors", b.Errors, c.Errors, "-")
-		}
-	}
-	if compared == 0 {
-		fmt.Fprintln(stderr, "tracestat: no workload exists on both sides; nothing compared")
-		return 2
-	}
-	if regressions > 0 {
-		fmt.Fprintf(stdout, "tracestat: %d serving regression(s) (tolerance %.2fx, floor %v)\n", regressions, *tol, *floor)
-		return 1
-	}
-	fmt.Fprintf(stdout, "tracestat: no serving regressions across %d workload(s) (tolerance %.2fx, floor %v)\n",
-		compared, *tol, *floor)
-	return 0
-}
-
-// churnReport mirrors the subset of internal/bench's BENCH_churn.json schema
-// this tool gates on (local for the same reason as serveReport). Rows are
-// matched by insert fraction, the sweep axis of the churn experiment.
-type churnReport struct {
-	Env     parconn.Env `json:"env"`
-	Results []struct {
-		InsertFraction float64 `json:"insert_fraction"`
-		Requests       int64   `json:"requests"`
-		Errors         int64   `json:"errors"`
-		QPS            float64 `json:"qps"`
-		P95NS          int64   `json:"p95_ns"`
-		Inserts        int64   `json:"inserts"`
-		InsertErrors   int64   `json:"insert_errors"`
-		InsertQPS      float64 `json:"insert_qps"`
-		InsertP95NS    int64   `json:"insert_p95_ns"`
-		InsertP99NS    int64   `json:"insert_p99_ns"`
-	} `json:"results"`
-}
-
-func loadChurnReport(path string) (churnReport, error) {
-	var rep churnReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
-	}
-	if err := json.Unmarshal(data, &rep); err != nil || len(rep.Results) == 0 {
-		return rep, fmt.Errorf("%s: not a churn report", path)
-	}
-	for _, r := range rep.Results {
-		if r.InsertFraction <= 0 || r.Inserts+r.InsertErrors == 0 {
-			return rep, fmt.Errorf("%s: not a churn report (result without inserts)", path)
-		}
-	}
-	return rep, nil
-}
-
-// runChurn diffs two churn benchmark reports (cmd/bench -experiment churn)
-// per insert fraction. Query QPS regresses when it drops below base/tol;
-// insert p95/p99 regress when the new value exceeds base*tol AND the
-// absolute increase exceeds the floor; new insert errors on a previously
-// clean fraction always regress. Like serve, the quantiles of a loaded HTTP
-// server are noisy, so CI should pass a loose -tol.
-func runChurn(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("tracestat churn", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		tol   = fs.Float64("tol", 2.0, "regression threshold: latency new > base*tol, QPS new < base/tol")
-		floor = fs.Duration("floor", 200*time.Microsecond, "ignore latency regressions whose absolute increase is below this duration")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() != 2 {
-		usage(stderr)
-		return 2
-	}
-	if *tol <= 1 {
-		fmt.Fprintln(stderr, "tracestat: -tol must be greater than 1")
-		return 2
-	}
-	base, err := loadChurnReport(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(stderr, "tracestat: %v\n", err)
-		return 2
-	}
-	cur, err := loadChurnReport(fs.Arg(1))
-	if err != nil {
-		fmt.Fprintf(stderr, "tracestat: %v\n", err)
-		return 2
-	}
-	if diffs := base.Env.Mismatch(cur.Env); len(diffs) > 0 {
-		fmt.Fprintf(stderr, "tracestat: WARNING: environment mismatch (throughput not directly comparable): %s\n",
-			strings.Join(diffs, "; "))
-	}
-
-	fracKey := func(f float64) string { return fmt.Sprintf("%.4f", f) }
-	type row struct{ base, cur int }
-	byFrac := map[string]*row{}
-	for i, r := range base.Results {
-		byFrac[fracKey(r.InsertFraction)] = &row{base: i, cur: -1}
-	}
-	for i, r := range cur.Results {
-		if w := byFrac[fracKey(r.InsertFraction)]; w != nil {
-			w.cur = i
-		} else {
-			byFrac[fracKey(r.InsertFraction)] = &row{base: -1, cur: i}
-		}
-	}
-	keys := make([]string, 0, len(byFrac))
-	for k := range byFrac {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	regressions := 0
-	compared := 0
-	fmt.Fprintf(stdout, "%-8s %-12s %12s %12s %8s\n", "f", "metric", "base", "new", "ratio")
-	for _, key := range keys {
-		w := byFrac[key]
-		if w.base < 0 || w.cur < 0 {
-			fmt.Fprintf(stdout, "%-8s %-12s %12s %12s %8s  (missing on one side)\n", key, "-", "-", "-", "-")
-			continue
-		}
-		b, c := base.Results[w.base], cur.Results[w.cur]
-		compared++
-		verdict := "ok"
-		if c.QPS < b.QPS / *tol {
-			regressions++
-			verdict = fmt.Sprintf("REGRESSION (below base/%.2f)", *tol)
-		}
-		ratio := 0.0
-		if b.QPS > 0 {
-			ratio = c.QPS / b.QPS
-		}
-		fmt.Fprintf(stdout, "%-8s %-12s %12.0f %12.0f %7.2fx  %s\n", key, "query qps", b.QPS, c.QPS, ratio, verdict)
-		lat := []struct {
-			metric string
-			baseNS int64
-			curNS  int64
-		}{
-			{"query p95", b.P95NS, c.P95NS},
-			{"insert p95", b.InsertP95NS, c.InsertP95NS},
-			{"insert p99", b.InsertP99NS, c.InsertP99NS},
-		}
-		for _, l := range lat {
-			verdict := "ok"
-			if l.curNS > int64(float64(l.baseNS)**tol) && l.curNS-l.baseNS > floor.Nanoseconds() {
-				regressions++
-				verdict = fmt.Sprintf("REGRESSION (+%v > %v floor)", roundDur(time.Duration(l.curNS-l.baseNS)), *floor)
-			}
-			ratio := 0.0
-			if l.baseNS > 0 {
-				ratio = float64(l.curNS) / float64(l.baseNS)
-			}
-			fmt.Fprintf(stdout, "%-8s %-12s %12v %12v %7.2fx  %s\n",
-				key, l.metric, roundDur(time.Duration(l.baseNS)), roundDur(time.Duration(l.curNS)), ratio, verdict)
-		}
-		if errs := c.Errors + c.InsertErrors; errs > 0 && b.Errors+b.InsertErrors == 0 {
-			regressions++
-			fmt.Fprintf(stdout, "%-8s %-12s %12d %12d %8s  REGRESSION (new errors)\n",
-				key, "errors", b.Errors+b.InsertErrors, errs, "-")
-		}
-	}
-	if compared == 0 {
-		fmt.Fprintln(stderr, "tracestat: no insert fraction exists on both sides; nothing compared")
-		return 2
-	}
-	if regressions > 0 {
-		fmt.Fprintf(stdout, "tracestat: %d churn regression(s) (tolerance %.2fx, floor %v)\n", regressions, *tol, *floor)
-		return 1
-	}
-	fmt.Fprintf(stdout, "tracestat: no churn regressions across %d insert fraction(s) (tolerance %.2fx, floor %v)\n",
-		compared, *tol, *floor)
-	return 0
-}
-
-// sloReport mirrors the SLO-attainment subset shared by BENCH_serve.json
-// and BENCH_churn.json (local for the same reason as serveReport). Rows are
-// keyed by workload, qualified by insert fraction when present, so one
-// subcommand gates both report shapes.
-type sloReport struct {
-	Env     parconn.Env `json:"env"`
-	Results []struct {
-		Workload       string  `json:"workload"`
-		InsertFraction float64 `json:"insert_fraction"`
-		SLOTargetNS    int64   `json:"slo_target_ns"`
-		SLOWindows     int64   `json:"slo_windows"`
-		SLOGoodWindows int64   `json:"slo_good_windows"`
-		SLOAttainment  float64 `json:"slo_attainment"`
-	} `json:"results"`
-}
-
-func loadSloReport(path string) (sloReport, error) {
-	var rep sloReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
-	}
-	if err := json.Unmarshal(data, &rep); err != nil || len(rep.Results) == 0 {
-		return rep, fmt.Errorf("%s: not a serve or churn report", path)
-	}
-	return rep, nil
-}
-
-// sloKey names one result row: the workload, qualified by the insert
-// fraction for churn reports where every row shares the workload name.
-func sloKey(workload string, frac float64) string {
-	if workload == "" {
-		workload = "?"
-	}
-	if frac > 0 {
-		return fmt.Sprintf("%s@%.2f", workload, frac)
-	}
-	return workload
-}
-
-// runSlo gates the SLO-attainment columns of two serve or churn reports. A
-// row regresses when its new attainment falls below the -min floor, or
-// drops by more than -drop from the baseline's attainment for the same
-// key. Rows whose reports carry no SLO data (slo_windows 0 — recorded
-// before SLO tracking existed, or with scraping disabled) are skipped, so
-// old baselines don't fail the gate; they simply don't constrain it.
-// Attainment is already a fraction of graded windows, so unlike the
-// latency gates there is no tolerance ratio — the floor and the allowed
-// drop are both absolute attainment fractions.
-func runSlo(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("tracestat slo", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		minAtt = fs.Float64("min", 0.9, "minimum SLO attainment per row (fraction of good windows)")
-		drop   = fs.Float64("drop", 0.05, "maximum attainment drop from the baseline row before flagging")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() != 2 {
-		usage(stderr)
-		return 2
-	}
-	if *minAtt < 0 || *minAtt > 1 || *drop < 0 || *drop > 1 {
-		fmt.Fprintln(stderr, "tracestat: -min and -drop must be in [0, 1]")
-		return 2
-	}
-	base, err := loadSloReport(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(stderr, "tracestat: %v\n", err)
-		return 2
-	}
-	cur, err := loadSloReport(fs.Arg(1))
-	if err != nil {
-		fmt.Fprintf(stderr, "tracestat: %v\n", err)
-		return 2
-	}
-	if diffs := base.Env.Mismatch(cur.Env); len(diffs) > 0 {
-		fmt.Fprintf(stderr, "tracestat: WARNING: environment mismatch (attainment not directly comparable): %s\n",
-			strings.Join(diffs, "; "))
-	}
-
-	baseBy := map[string]int{}
-	for i, r := range base.Results {
-		if r.SLOWindows > 0 {
-			baseBy[sloKey(r.Workload, r.InsertFraction)] = i
-		}
-	}
-
-	regressions := 0
-	gated := 0
-	fmt.Fprintf(stdout, "%-14s %10s %10s %10s %14s\n", "row", "target", "base", "new", "windows")
-	for _, r := range cur.Results {
-		key := sloKey(r.Workload, r.InsertFraction)
-		if r.SLOWindows == 0 {
-			fmt.Fprintf(stdout, "%-14s %10s %10s %10s %14s  (no SLO data, skipped)\n", key, "-", "-", "-", "-")
-			continue
-		}
-		gated++
-		baseCell := "-"
-		verdict := "ok"
-		if r.SLOAttainment < *minAtt {
-			regressions++
-			verdict = fmt.Sprintf("REGRESSION (below %.0f%% floor)", *minAtt*100)
-		}
-		if bi, ok := baseBy[key]; ok {
-			b := base.Results[bi]
-			baseCell = fmt.Sprintf("%.0f%%", b.SLOAttainment*100)
-			if b.SLOTargetNS != r.SLOTargetNS {
-				fmt.Fprintf(stderr, "tracestat: WARNING: %s: SLO target changed (%v -> %v); drop gate skipped for this row\n",
-					key, time.Duration(b.SLOTargetNS), time.Duration(r.SLOTargetNS))
-			} else if verdict == "ok" && r.SLOAttainment < b.SLOAttainment-*drop {
-				regressions++
-				verdict = fmt.Sprintf("REGRESSION (dropped %.0f%% > %.0f%% allowed)",
-					(b.SLOAttainment-r.SLOAttainment)*100, *drop*100)
-			}
-		}
-		fmt.Fprintf(stdout, "%-14s %10v %10s %9.0f%% %14s  %s\n",
-			key, time.Duration(r.SLOTargetNS), baseCell, r.SLOAttainment*100,
-			fmt.Sprintf("%d/%d", r.SLOGoodWindows, r.SLOWindows), verdict)
-	}
-	if gated == 0 {
-		fmt.Fprintln(stderr, "tracestat: no row in the new report carries SLO data; nothing gated")
-		return 2
-	}
-	if regressions > 0 {
-		fmt.Fprintf(stdout, "tracestat: %d SLO regression(s) (floor %.0f%%, allowed drop %.0f%%)\n",
-			regressions, *minAtt*100, *drop*100)
-		return 1
-	}
-	fmt.Fprintf(stdout, "tracestat: SLO attainment holds across %d gated row(s) (floor %.0f%%, allowed drop %.0f%%)\n",
-		gated, *minAtt*100, *drop*100)
 	return 0
 }
 

@@ -214,6 +214,13 @@ func TestUsageAndInputErrors(t *testing.T) {
 	if code, _, _ := runCapture(t, "diff", "/nonexistent.jsonl", "/nonexistent.jsonl"); code != 2 {
 		t.Fatal("missing diff inputs accepted")
 	}
+	// The serving gates moved to perfbench; their old names are unknown
+	// subcommands now, not silent passes.
+	for _, sub := range []string{"serve", "churn", "slo"} {
+		if code, _, errb := runCapture(t, sub, "a.json", "b.json"); code != 2 || !strings.Contains(errb, "unknown subcommand") {
+			t.Fatalf("retired %q: exit=%d stderr=%s", sub, code, errb)
+		}
+	}
 
 	// A structurally invalid trace (end without start) is rejected.
 	bad := filepath.Join(t.TempDir(), "bad.jsonl")
@@ -304,399 +311,5 @@ func TestSpeedupGateTripsBelowFloor(t *testing.T) {
 	// An unknown gated algorithm is a usage error, not a pass.
 	if code, _, _ := runCapture(t, "speedup", "-algorithm", "no-such-alg", path); code != 2 {
 		t.Errorf("unknown algorithm: exit=%d, want 2", code)
-	}
-}
-
-// writeServeReport synthesizes a BENCH_serve.json-shaped report for the
-// serve gate tests.
-func writeServeReport(t *testing.T, path string, qps float64, p99 int64, errs int64) {
-	t.Helper()
-	rep := map[string]any{
-		"go_version": "go-test",
-		"gomaxprocs": 2,
-		"env":        parconn.CaptureEnv(),
-		"results": []map[string]any{
-			{"workload": "point", "concurrency": 2, "requests": 1000, "errors": errs,
-				"qps": qps, "p50_ns": p99 / 4, "p95_ns": p99 / 2, "p99_ns": p99, "max_ns": p99 * 2},
-			{"workload": "batch", "concurrency": 2, "requests": 500, "errors": 0,
-				"qps": qps / 4, "p50_ns": p99, "p95_ns": 2 * p99, "p99_ns": 3 * p99, "max_ns": 4 * p99},
-		},
-	}
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestServeGateIdenticalPasses(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	writeServeReport(t, base, 50000, 1_000_000, 0)
-	code, out, errb := runCapture(t, "serve", base, base)
-	if code != 0 {
-		t.Fatalf("exit=%d stderr=%s", code, errb)
-	}
-	if !strings.Contains(out, "no serving regressions") {
-		t.Fatalf("output wrong:\n%s", out)
-	}
-}
-
-func TestServeGateTripsOnLatency(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	cur := filepath.Join(dir, "new.json")
-	writeServeReport(t, base, 50000, 1_000_000, 0)
-	writeServeReport(t, cur, 50000, 5_000_000, 0) // p99 5x slower
-	code, out, _ := runCapture(t, "serve", "-tol", "2", base, cur)
-	if code != 1 {
-		t.Fatalf("exit=%d:\n%s", code, out)
-	}
-	if !strings.Contains(out, "REGRESSION") {
-		t.Fatalf("no regression flagged:\n%s", out)
-	}
-	// A loose enough tolerance passes the same pair.
-	if code, out, _ := runCapture(t, "serve", "-tol", "20", base, cur); code != 0 {
-		t.Fatalf("tol=20 exit=%d:\n%s", code, out)
-	}
-}
-
-func TestServeGateTripsOnQPSDrop(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	cur := filepath.Join(dir, "new.json")
-	writeServeReport(t, base, 50000, 1_000_000, 0)
-	writeServeReport(t, cur, 10000, 1_000_000, 0) // 5x throughput drop
-	code, out, _ := runCapture(t, "serve", "-tol", "2", base, cur)
-	if code != 1 || !strings.Contains(out, "REGRESSION") {
-		t.Fatalf("exit=%d:\n%s", code, out)
-	}
-}
-
-func TestServeGateFloorSuppressesTinyLatency(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	cur := filepath.Join(dir, "new.json")
-	// 10x latency regression, but in absolute terms at most ~135us (batch
-	// p99): below the 200us default floor. QPS unchanged.
-	writeServeReport(t, base, 50000, 5_000, 0)
-	writeServeReport(t, cur, 50000, 50_000, 0)
-	code, out, _ := runCapture(t, "serve", "-tol", "2", base, cur)
-	if code != 0 {
-		t.Fatalf("exit=%d:\n%s", code, out)
-	}
-}
-
-func TestServeGateTripsOnNewErrors(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	cur := filepath.Join(dir, "new.json")
-	writeServeReport(t, base, 50000, 1_000_000, 0)
-	writeServeReport(t, cur, 50000, 1_000_000, 25)
-	code, out, _ := runCapture(t, "serve", base, cur)
-	if code != 1 || !strings.Contains(out, "new errors") {
-		t.Fatalf("exit=%d:\n%s", code, out)
-	}
-}
-
-// writeChurnReport synthesizes a BENCH_churn.json-shaped report for the
-// churn gate tests: two insert fractions, query QPS plus insert quantiles.
-func writeChurnReport(t *testing.T, path string, qps float64, insP95 int64, insErrs int64) {
-	t.Helper()
-	row := func(frac float64) map[string]any {
-		return map[string]any{
-			"workload": "churn", "insert_fraction": frac, "insert_batch": 32,
-			"concurrency": 2, "requests": 1000, "errors": 0,
-			"qps": qps, "p50_ns": insP95 / 8, "p95_ns": insP95 / 4, "p99_ns": insP95 / 2,
-			"inserts": 100, "insert_errors": insErrs, "insert_qps": qps / 10,
-			"insert_p50_ns": insP95 / 2, "insert_p95_ns": insP95, "insert_p99_ns": 2 * insP95,
-		}
-	}
-	rep := map[string]any{
-		"go_version": "go-test",
-		"gomaxprocs": 2,
-		"env":        parconn.CaptureEnv(),
-		"results":    []map[string]any{row(0.05), row(0.25)},
-	}
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChurnGateIdenticalPasses(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	writeChurnReport(t, base, 50000, 1_000_000, 0)
-	code, out, errb := runCapture(t, "churn", base, base)
-	if code != 0 {
-		t.Fatalf("exit=%d stderr=%s", code, errb)
-	}
-	if !strings.Contains(out, "no churn regressions across 2 insert fraction(s)") {
-		t.Fatalf("output wrong:\n%s", out)
-	}
-}
-
-func TestChurnGateTripsOnInsertLatency(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	cur := filepath.Join(dir, "new.json")
-	writeChurnReport(t, base, 50000, 1_000_000, 0)
-	writeChurnReport(t, cur, 50000, 5_000_000, 0) // insert p95 5x slower
-	code, out, _ := runCapture(t, "churn", "-tol", "2", base, cur)
-	if code != 1 || !strings.Contains(out, "REGRESSION") {
-		t.Fatalf("exit=%d:\n%s", code, out)
-	}
-	// A loose enough tolerance passes the same pair.
-	if code, out, _ := runCapture(t, "churn", "-tol", "20", base, cur); code != 0 {
-		t.Fatalf("tol=20 exit=%d:\n%s", code, out)
-	}
-}
-
-func TestChurnGateTripsOnQueryQPSDrop(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	cur := filepath.Join(dir, "new.json")
-	writeChurnReport(t, base, 50000, 1_000_000, 0)
-	writeChurnReport(t, cur, 10000, 1_000_000, 0) // 5x query throughput drop
-	code, out, _ := runCapture(t, "churn", "-tol", "2", base, cur)
-	if code != 1 || !strings.Contains(out, "REGRESSION (below base/2.00)") {
-		t.Fatalf("exit=%d:\n%s", code, out)
-	}
-}
-
-func TestChurnGateTripsOnNewInsertErrors(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	cur := filepath.Join(dir, "new.json")
-	writeChurnReport(t, base, 50000, 1_000_000, 0)
-	writeChurnReport(t, cur, 50000, 1_000_000, 9)
-	code, out, _ := runCapture(t, "churn", base, cur)
-	if code != 1 || !strings.Contains(out, "new errors") {
-		t.Fatalf("exit=%d:\n%s", code, out)
-	}
-}
-
-func TestChurnGateUsageErrors(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	writeChurnReport(t, base, 50000, 1_000_000, 0)
-	if code, _, _ := runCapture(t, "churn", base); code != 2 {
-		t.Fatal("one-arg churn accepted")
-	}
-	if code, _, _ := runCapture(t, "churn", "-tol", "0.5", base, base); code != 2 {
-		t.Fatal("tol <= 1 accepted")
-	}
-	// A serve report is not a churn report: no insert fractions.
-	notChurn := filepath.Join(dir, "serve.json")
-	writeServeReport(t, notChurn, 50000, 1_000_000, 0)
-	if code, _, _ := runCapture(t, "churn", notChurn, base); code != 2 {
-		t.Fatal("serve report accepted as churn baseline")
-	}
-}
-
-func TestServeGateUsageErrors(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	writeServeReport(t, base, 50000, 1_000_000, 0)
-	if code, _, _ := runCapture(t, "serve", base); code != 2 {
-		t.Fatal("one-arg serve accepted")
-	}
-	if code, _, _ := runCapture(t, "serve", "-tol", "0.5", base, base); code != 2 {
-		t.Fatal("tol <= 1 accepted")
-	}
-	if code, _, _ := runCapture(t, "serve", "/nonexistent.json", base); code != 2 {
-		t.Fatal("missing baseline accepted")
-	}
-	notServe := filepath.Join(dir, "not.json")
-	if err := os.WriteFile(notServe, []byte(`{"results":[{"input":"rMat"}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, errb := runCapture(t, "serve", notServe, base); code != 2 || !strings.Contains(errb, "not a serve report") {
-		t.Fatalf("non-serve report accepted: exit=%d stderr=%s", code, errb)
-	}
-}
-
-// writeSloServeReport synthesizes a BENCH_serve.json-shaped report whose
-// rows carry SLO-attainment columns: two observed workloads plus one row
-// recorded without SLO tracking, so the skip path is always exercised.
-func writeSloServeReport(t *testing.T, path string, targetNS int64, pointGood, batchGood int) {
-	t.Helper()
-	row := func(w string, good int) map[string]any {
-		return map[string]any{
-			"workload": w, "concurrency": 2, "requests": 1000, "errors": 0,
-			"qps": 50000, "p50_ns": 10_000, "p95_ns": 50_000, "p99_ns": 100_000, "max_ns": 200_000,
-			"slo_target_ns": targetNS, "slo_windows": 20, "slo_good_windows": good,
-			"slo_attainment": float64(good) / 20,
-		}
-	}
-	legacy := map[string]any{
-		"workload": "hot", "concurrency": 2, "requests": 1000, "errors": 0,
-		"qps": 50000, "p50_ns": 10_000, "p95_ns": 50_000, "p99_ns": 100_000, "max_ns": 200_000,
-	}
-	rep := map[string]any{
-		"go_version": "go-test",
-		"gomaxprocs": 2,
-		"env":        parconn.CaptureEnv(),
-		"results":    []map[string]any{row("point", pointGood), row("batch", batchGood), legacy},
-	}
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSloGateIdenticalPasses(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	writeSloServeReport(t, base, 25_000_000, 20, 19) // 100% and 95%
-	code, out, errb := runCapture(t, "slo", base, base)
-	if code != 0 {
-		t.Fatalf("exit=%d stdout=%s stderr=%s", code, out, errb)
-	}
-	if !strings.Contains(out, "SLO attainment holds across 2 gated row(s)") {
-		t.Fatalf("output wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "no SLO data, skipped") {
-		t.Fatalf("legacy row not reported as skipped:\n%s", out)
-	}
-}
-
-func TestSloGateTripsOnAttainmentDrop(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	cur := filepath.Join(dir, "new.json")
-	writeSloServeReport(t, base, 25_000_000, 20, 20)
-	writeSloServeReport(t, cur, 25_000_000, 20, 18) // batch 100% -> 90%: ok for -min 0.9, over -drop 0.05
-	code, out, _ := runCapture(t, "slo", base, cur)
-	if code != 1 || !strings.Contains(out, "REGRESSION (dropped") {
-		t.Fatalf("exit=%d:\n%s", code, out)
-	}
-	// A wider allowed drop passes the same pair.
-	if code, out, _ := runCapture(t, "slo", "-drop", "0.2", base, cur); code != 0 {
-		t.Fatalf("drop=0.2 exit=%d:\n%s", code, out)
-	}
-}
-
-func TestSloGateTripsBelowFloor(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	cur := filepath.Join(dir, "new.json")
-	// The baseline itself is already bad, so no drop — only the floor trips.
-	writeSloServeReport(t, base, 25_000_000, 20, 10)
-	writeSloServeReport(t, cur, 25_000_000, 20, 10)
-	code, out, _ := runCapture(t, "slo", base, cur)
-	if code != 1 || !strings.Contains(out, "below 90% floor") {
-		t.Fatalf("exit=%d:\n%s", code, out)
-	}
-	if code, out, _ := runCapture(t, "slo", "-min", "0.5", base, cur); code != 0 {
-		t.Fatalf("min=0.5 exit=%d:\n%s", code, out)
-	}
-}
-
-func TestSloGateTargetChangeSkipsDropGate(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	cur := filepath.Join(dir, "new.json")
-	writeSloServeReport(t, base, 25_000_000, 20, 20)
-	writeSloServeReport(t, cur, 50_000_000, 20, 19) // looser target, 95% still above floor
-	code, out, errb := runCapture(t, "slo", base, cur)
-	if code != 0 {
-		t.Fatalf("exit=%d:\n%s", code, out)
-	}
-	if !strings.Contains(errb, "SLO target changed") {
-		t.Fatalf("no target-change warning:\n%s", errb)
-	}
-}
-
-func TestSloGateChurnReportKeyedByFraction(t *testing.T) {
-	dir := t.TempDir()
-	write := func(path string, good05, good25 int) {
-		row := func(frac float64, good int) map[string]any {
-			return map[string]any{
-				"workload": "churn", "insert_fraction": frac, "insert_batch": 32,
-				"concurrency": 2, "requests": 1000, "errors": 0,
-				"qps": 40000, "p95_ns": 60_000, "inserts": 100, "insert_qps": 2000,
-				"insert_p95_ns": 200_000, "insert_p99_ns": 400_000,
-				"slo_target_ns": 25_000_000, "slo_windows": 10, "slo_good_windows": good,
-				"slo_attainment": float64(good) / 10,
-			}
-		}
-		rep := map[string]any{
-			"env":     parconn.CaptureEnv(),
-			"results": []map[string]any{row(0.05, good05), row(0.25, good25)},
-		}
-		data, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	base := filepath.Join(dir, "base.json")
-	cur := filepath.Join(dir, "new.json")
-	write(base, 10, 10)
-	write(cur, 10, 8) // churn@0.25 drops to 80%
-	code, out, _ := runCapture(t, "slo", base, cur)
-	if code != 1 {
-		t.Fatalf("exit=%d:\n%s", code, out)
-	}
-	if !strings.Contains(out, "churn@0.25") || !strings.Contains(out, "REGRESSION") {
-		t.Fatalf("fraction key or regression missing:\n%s", out)
-	}
-	if code, out, _ := runCapture(t, "slo", base, base); code != 0 {
-		t.Fatalf("self-diff exit=%d:\n%s", code, out)
-	}
-}
-
-func TestSloGateUsageErrors(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "good.json")
-	writeSloServeReport(t, good, 25_000_000, 20, 20)
-
-	if code, _, _ := runCapture(t, "slo", good); code != 2 {
-		t.Fatalf("one arg: exit=%d", code)
-	}
-	if code, _, _ := runCapture(t, "slo", "-min", "1.5", good, good); code != 2 {
-		t.Fatalf("bad -min: exit=%d", code)
-	}
-	if code, _, _ := runCapture(t, "slo", filepath.Join(dir, "missing.json"), good); code != 2 {
-		t.Fatalf("missing base: exit=%d", code)
-	}
-	notReport := filepath.Join(dir, "not.json")
-	if err := os.WriteFile(notReport, []byte(`{"results": []}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, _ := runCapture(t, "slo", notReport, good); code != 2 {
-		t.Fatalf("empty results: exit=%d", code)
-	}
-
-	// A report whose rows all predate SLO tracking gates nothing: exit 2, so
-	// a misconfigured CI lane fails loudly instead of silently passing.
-	legacy := filepath.Join(dir, "legacy.json")
-	rep := map[string]any{
-		"env": parconn.CaptureEnv(),
-		"results": []map[string]any{{
-			"workload": "point", "qps": 50000, "p99_ns": 100_000,
-		}},
-	}
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(legacy, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, errb := runCapture(t, "slo", good, legacy); code != 2 || !strings.Contains(errb, "nothing gated") {
-		t.Fatalf("legacy new report: exit=%d stderr=%s", code, errb)
 	}
 }

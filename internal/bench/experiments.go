@@ -38,11 +38,6 @@ type Config struct {
 	// Attaching a sink perturbs the timings slightly; leave nil for
 	// publication numbers.
 	Recorder parconn.Recorder
-	// SLOTargetP99 is the rolling-P99 latency target the serve and churn
-	// benchmarks grade scrape windows against (0 = 25ms). The resulting
-	// attainment fraction lands in BENCH_serve.json / BENCH_churn.json and
-	// is gated by `tracestat slo`.
-	SLOTargetP99 time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -62,9 +57,6 @@ func (c Config) withDefaults() Config {
 	if c.Out == nil {
 		panic("bench: Config.Out is nil")
 	}
-	if c.SLOTargetP99 <= 0 {
-		c.SLOTargetP99 = 25 * time.Millisecond
-	}
 	return c
 }
 
@@ -83,6 +75,18 @@ var table2Algorithms = []parconn.Algorithm{
 	parconn.ShiloachVishkin,
 	parconn.RandomMate,
 	parconn.LDDUnionFind,
+}
+
+// traced runs one connectivity computation with a fresh in-memory trace
+// attached (fanned out alongside cfg.Recorder when that is set) and returns
+// the trace, which the per-level and per-phase figures read.
+func traced(g *parconn.Graph, opt parconn.Options, cfg Config) *parconn.Trace {
+	tr := parconn.NewTrace()
+	opt.Recorder = parconn.MultiRecorder(cfg.Recorder, tr)
+	if _, err := parconn.ConnectedComponents(g, opt); err != nil {
+		panic(err)
+	}
+	return tr
 }
 
 // runCC runs one labeled measurement and returns the median duration.
@@ -249,12 +253,9 @@ func Fig4(cfg Config) {
 		series := make([][]int64, len(betas))
 		maxLen := 0
 		for i, beta := range betas {
-			var levels []parconn.LevelStat
-			if _, err := parconn.ConnectedComponents(g, parconn.Options{
-				Algorithm: parconn.DecompArbHybrid, Beta: beta, Procs: cfg.Procs, Seed: cfg.Seed, Levels: &levels,
-			}); err != nil {
-				panic(err)
-			}
+			levels := traced(g, parconn.Options{
+				Algorithm: parconn.DecompArbHybrid, Beta: beta, Procs: cfg.Procs, Seed: cfg.Seed,
+			}, cfg).LevelEnds()
 			s := make([]int64, 0, len(levels)+1)
 			if len(levels) > 0 {
 				s = append(s, levels[0].EdgesIn)
@@ -297,15 +298,12 @@ func breakdown(cfg Config, alg parconn.Algorithm, figure string, phases []string
 			panic(err)
 		}
 		g := in.Make(cfg.Scale)
-		var pt parconn.PhaseTimes
 		// One warm run, then the measured run (breakdowns are shown for a
 		// single run in the paper, not medians).
 		if _, err := parconn.ConnectedComponents(g, parconn.Options{Algorithm: alg, Procs: cfg.Procs, Seed: cfg.Seed}); err != nil {
 			panic(err)
 		}
-		if _, err := parconn.ConnectedComponents(g, parconn.Options{Algorithm: alg, Procs: cfg.Procs, Seed: cfg.Seed, Phases: &pt}); err != nil {
-			panic(err)
-		}
+		pt := parconn.PhaseTimesOf(traced(g, parconn.Options{Algorithm: alg, Procs: cfg.Procs, Seed: cfg.Seed}, cfg))
 		row := []string{name}
 		var total time.Duration
 		for _, d := range get(&pt) {
@@ -386,31 +384,17 @@ var Experiments = []struct {
 // ExperimentNames returns every name Run accepts, in display order: the
 // paper experiments, then the file-writing experiments and "all".
 func ExperimentNames() []string {
-	names := make([]string, 0, len(Experiments)+4)
+	names := make([]string, 0, len(Experiments)+3)
 	for _, e := range Experiments {
 		names = append(names, e.Name)
 	}
-	return append(names, "json", "speedup", "serve", "churn", "all")
+	return append(names, "json", "speedup", "all")
 }
 
-// Run executes the named experiment ("all" runs every one in order; "json",
-// "speedup", "serve", and "churn" run the machine-readable benchmarks, which
-// are kept out of "all" because they write files next to the tables).
+// Run executes the named experiment ("all" runs every one in order; "json"
+// and "speedup" run the machine-readable benchmarks, which are kept out of
+// "all" because they write files next to the tables).
 func Run(name string, cfg Config) error {
-	if name == "serve" {
-		path := cfg.JSONPath
-		if path == "" {
-			path = "BENCH_serve.json"
-		}
-		return WriteServe(cfg, path)
-	}
-	if name == "churn" {
-		path := cfg.JSONPath
-		if path == "" {
-			path = "BENCH_churn.json"
-		}
-		return WriteChurn(cfg, path)
-	}
 	if name == "json" {
 		path := cfg.JSONPath
 		if path == "" {

@@ -62,12 +62,9 @@ func Work(cfg Config) {
 }
 
 func workOf(g *parconn.Graph, beta float64, cfg Config) (levels int, processed int64) {
-	var stats []parconn.LevelStat
-	if _, err := parconn.ConnectedComponents(g, parconn.Options{
-		Algorithm: parconn.DecompArbHybrid, Beta: beta, Procs: cfg.Procs, Seed: cfg.Seed, Levels: &stats,
-	}); err != nil {
-		panic(err)
-	}
+	stats := traced(g, parconn.Options{
+		Algorithm: parconn.DecompArbHybrid, Beta: beta, Procs: cfg.Procs, Seed: cfg.Seed,
+	}, cfg).LevelEnds()
 	for _, ls := range stats {
 		processed += ls.EdgesIn
 	}

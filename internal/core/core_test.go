@@ -5,6 +5,7 @@ import (
 
 	"parconn/internal/decomp"
 	"parconn/internal/graph"
+	"parconn/internal/obs"
 )
 
 var variants = []decomp.Variant{decomp.Min, decomp.Arb, decomp.ArbHybrid}
@@ -122,12 +123,13 @@ func TestCCProcsAgree(t *testing.T) {
 
 func TestCCLevelStats(t *testing.T) {
 	g := graph.Random(5000, 5, 11)
-	var levels []LevelStat
-	labels, err := CC(g, Options{Variant: decomp.ArbHybrid, Beta: 0.2, Seed: 1, Levels: &levels})
+	tr := obs.NewTrace()
+	labels, err := CC(g, Options{Variant: decomp.ArbHybrid, Beta: 0.2, Seed: 1, Recorder: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkLabels(t, g, labels)
+	levels := tr.LevelEnds()
 	if len(levels) == 0 {
 		t.Fatal("no level stats")
 	}
@@ -161,10 +163,11 @@ func TestCCLevelStats(t *testing.T) {
 
 func TestCCPhaseTimes(t *testing.T) {
 	g := graph.Random(4000, 5, 13)
-	var pt decomp.PhaseTimes
-	if _, err := CC(g, Options{Variant: decomp.Arb, Seed: 1, Phases: &pt}); err != nil {
+	tr := obs.NewTrace()
+	if _, err := CC(g, Options{Variant: decomp.Arb, Seed: 1, Recorder: tr}); err != nil {
 		t.Fatal(err)
 	}
+	pt := decomp.PhaseTimesFrom(tr.Phases())
 	if pt.BFSMain <= 0 {
 		t.Fatal("no BFS time recorded")
 	}
@@ -177,12 +180,13 @@ func TestCCDedupNoneStillShrinks(t *testing.T) {
 	// The paper: the edge count decreases by a constant factor in
 	// expectation even without duplicate removal.
 	g := graph.RMat(10, graph.RMatOptions{EdgeFactor: 20, Seed: 5, KeepDuplicates: true})
-	var levels []LevelStat
-	labels, err := CC(g, Options{Variant: decomp.Arb, Beta: 0.1, Seed: 3, Dedup: DedupNone, Levels: &levels})
+	tr := obs.NewTrace()
+	labels, err := CC(g, Options{Variant: decomp.Arb, Beta: 0.1, Seed: 3, Dedup: DedupNone, Recorder: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkLabels(t, g, labels)
+	levels := tr.LevelEnds()
 	for i := 1; i < len(levels); i++ {
 		if levels[i].EdgesIn >= levels[i-1].EdgesIn {
 			t.Fatalf("level %d: edges grew %d -> %d", i, levels[i-1].EdgesIn, levels[i].EdgesIn)

@@ -89,13 +89,6 @@ type Options struct {
 	// final configuration, without leaving star-like graphs serialized on
 	// one hub. Currently honored by the Arb variant.
 	EdgeParallel int
-	// Phases, if non-nil, accumulates wall-clock time per phase. It is a
-	// compatibility view over the Recorder event stream: Decompose folds it
-	// into Recorder via PhasesRecorder.
-	Phases *PhaseTimes
-	// Rounds, if non-nil, receives one entry per BFS round. Like Phases, it
-	// is folded into Recorder via RoundsRecorder.
-	Rounds *[]RoundStat
 	// Recorder, if non-nil, receives the structured event stream (one Round
 	// event per BFS round, per-phase durations, CAS retry counts); see
 	// internal/obs. Recorder methods are invoked only by the coordinating
@@ -194,14 +187,6 @@ func (p *PhaseTimes) Total() time.Duration {
 		p.BFSSparse + p.BFSDense + p.FilterEdges + p.Contract
 }
 
-// RoundStat describes one BFS round of one decomposition call.
-type RoundStat struct {
-	Round      int
-	Frontier   int  // frontier size (centers + BFS arrivals)
-	NewCenters int  // centers started this round
-	Dense      bool // ArbHybrid used the read-based pass
-}
-
 // Result of a decomposition.
 type Result struct {
 	// Labels[v] is the id of the center whose ball captured v; vertices
@@ -234,13 +219,6 @@ func Decompose(g *WGraph, variant Variant, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
 		return Result{}, err
-	}
-	// Fold the legacy telemetry sinks into the event stream so the machines
-	// consult a single Recorder. The guard keeps the fully-disabled path
-	// allocation-free (Multi builds a slice).
-	if opt.Phases != nil || opt.Rounds != nil {
-		opt.Recorder = obs.Multi(opt.Recorder, PhasesRecorder(opt.Phases), RoundsRecorder(opt.Rounds))
-		opt.Phases, opt.Rounds = nil, nil
 	}
 	sc := opt.Scratch
 	if sc == nil {

@@ -6,11 +6,9 @@ import (
 	"parconn/internal/obs"
 )
 
-// This file is the compatibility bridge between the legacy PhaseTimes /
-// RoundStat telemetry and the obs event stream. The machines emit only obs
-// events; Decompose (and core.CC for the Contract bucket) compose these
-// adapter sinks in front of any caller-supplied sinks, so the old fields on
-// Options keep working as thin views over the stream.
+// The machines emit only obs events. PhaseTimes is the paper-shaped
+// (Figures 5-7) fold of a trace's Phase events, rebuilt after the run by
+// PhaseTimesFrom.
 
 // Add accumulates d into the bucket matching the obs phase name. The setup
 // phase (the connectivity driver's working-graph copy) folds into Init,
@@ -46,47 +44,4 @@ func PhaseTimesFrom(phases []obs.Phase) PhaseTimes {
 		p.Add(e.Name, e.Duration)
 	}
 	return p
-}
-
-// phasesSink accumulates Phase events into a legacy PhaseTimes.
-type phasesSink struct {
-	obs.Nop
-	p *PhaseTimes
-}
-
-func (s *phasesSink) Phase(e obs.Phase) { s.p.Add(e.Name, e.Duration) }
-
-// PhasesRecorder returns a Recorder that accumulates Phase events into p,
-// or nil when p is nil.
-func PhasesRecorder(p *PhaseTimes) obs.Recorder {
-	if p == nil {
-		return nil
-	}
-	//parconn:allow hotalloc sink is built once per Decompose call, and only when phase recording is requested
-	return &phasesSink{p: p}
-}
-
-// roundsSink appends Round events to a legacy RoundStat slice.
-type roundsSink struct {
-	obs.Nop
-	rs *[]RoundStat
-}
-
-func (s *roundsSink) Round(e obs.Round) {
-	*s.rs = append(*s.rs, RoundStat{
-		Round:      e.Round,
-		Frontier:   e.Frontier,
-		NewCenters: e.NewCenters,
-		Dense:      e.Dense,
-	})
-}
-
-// RoundsRecorder returns a Recorder that appends Round events to rs, or nil
-// when rs is nil.
-func RoundsRecorder(rs *[]RoundStat) obs.Recorder {
-	if rs == nil {
-		return nil
-	}
-	//parconn:allow hotalloc sink is built once per Decompose call, and only when round recording is requested
-	return &roundsSink{rs: rs}
 }

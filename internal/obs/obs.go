@@ -19,9 +19,9 @@
 // the provided sinks lock anyway so distinct concurrent runs may share one.
 //
 // The package is zero-dependency (stdlib only) and deliberately knows
-// nothing about graphs: events carry plain counts and durations, and the
-// compatibility bridges to the legacy PhaseTimes/LevelStat/RoundStat types
-// live next to those types in internal/decomp and internal/core.
+// nothing about graphs: events carry plain counts and durations. The
+// paper-shaped phase breakdown (decomp.PhaseTimes) is a fold over a
+// Trace's Phase events and lives next to that type in internal/decomp.
 package obs
 
 import "time"
@@ -163,8 +163,6 @@ func (Nop) Counter(Counter)       {}
 // returns nil when all are nil and the single recorder when only one is
 // non-nil, preserving the nil fast path and avoiding indirection for the
 // common single-sink case.
-//
-//parconn:allow hotalloc recorder fan-out is built once per run setup, and only when observability is enabled
 func Multi(recs ...Recorder) Recorder {
 	live := make(multi, 0, len(recs))
 	for _, r := range recs {

@@ -1,6 +1,6 @@
 // Request-plane observability for the serve package: per-request trace IDs,
-// an error taxonomy as labeled counters, rolling latency quantiles, and
-// head-sampled request spans. All of it hangs off an Observer so the plain
+// an error taxonomy as labeled counters, the latency histograms as
+// Prometheus series, and head-sampled request spans. All of it hangs off an Observer so the plain
 // Server keeps working with zero observability dependencies — attach one via
 // Config.Observer to light it up.
 
@@ -60,10 +60,6 @@ type ObserverConfig struct {
 	// requests form an unbiased 1-in-N slice of arrivals). 0 disables
 	// sampling even when Spans is set.
 	SampleEvery int
-	// RollingWindow and RollingWindows size the rolling-quantile ring
-	// (defaults: 1s windows, 60 of them — "P99 over the last minute").
-	RollingWindow  time.Duration
-	RollingWindows int
 }
 
 // Observer instruments Server request handling. One Observer belongs to one
@@ -77,21 +73,24 @@ type Observer struct {
 
 	requests map[string]*metrics.Counter            // endpoint -> arrivals
 	errors   map[string]map[string]*metrics.Counter // endpoint -> class -> count
-	rolling  map[string]*metrics.RollingHistogram   // endpoint -> rolling latency
 	sampled  *metrics.Counter
 	inflight *metrics.Gauge
 }
 
 // NewObserver builds an Observer and pre-registers every request-plane
 // series (all endpoints and error classes appear in /metrics at zero from
-// the first scrape, so dashboards and the SLO scraper never key-miss):
+// the first scrape, so dashboards never key-miss):
 //
 //	parconn_http_requests_total{endpoint}            arrivals
 //	parconn_http_errors_total{endpoint,class}        non-2xx answers by taxonomy
 //	parconn_http_inflight_requests                   currently executing
 //	parconn_http_spans_sampled_total                 spans emitted
-//	parconn_http_rolling_latency_seconds{endpoint,quantile}  P50/P95/P99
-//	                                                 over the rolling span
+//
+// Latency is not registered here: bind exposes the Server's own histograms,
+// so each request is recorded once and /v1/stats and /metrics read the
+// same counts. A rolling quantile is a scraper-side query over those
+// buckets, e.g. histogram_quantile(0.99,
+// rate(parconn_http_request_duration_seconds_bucket[1m])).
 func NewObserver(cfg ObserverConfig) *Observer {
 	if cfg.Metrics == nil {
 		panic("serve: ObserverConfig.Metrics is required")
@@ -100,7 +99,6 @@ func NewObserver(cfg ObserverConfig) *Observer {
 		spans:    cfg.Spans,
 		requests: make(map[string]*metrics.Counter, len(observedEndpoints)),
 		errors:   make(map[string]map[string]*metrics.Counter, len(observedEndpoints)),
-		rolling:  make(map[string]*metrics.RollingHistogram, len(observedEndpoints)),
 	}
 	if cfg.Spans != nil && cfg.SampleEvery > 0 {
 		o.sampleEvery = uint64(cfg.SampleEvery)
@@ -116,11 +114,6 @@ func NewObserver(cfg ObserverConfig) *Observer {
 				metrics.L("endpoint", ep, "class", class))
 		}
 		o.errors[ep] = byClass
-		rh := metrics.NewRollingHistogram(cfg.RollingWindow, cfg.RollingWindows)
-		o.rolling[ep] = rh
-		cfg.Metrics.RollingQuantilesNS("parconn_http_rolling_latency_seconds",
-			"Request latency quantiles over the rolling window span.",
-			metrics.L("endpoint", ep), rh, 0.50, 0.95, 0.99)
 	}
 	o.inflight = cfg.Metrics.Gauge("parconn_http_inflight_requests",
 		"Requests currently executing.", nil)
@@ -151,12 +144,6 @@ func (o *Observer) bind(s *Server, reg *metrics.Registry) {
 			}
 			return float64(p.epoch)
 		})
-}
-
-// Rolling returns the rolling latency histogram of one endpoint (nil for
-// unobserved names). Exposed for tests and in-process SLO checks.
-func (o *Observer) Rolling(endpoint string) *metrics.RollingHistogram {
-	return o.rolling[endpoint]
 }
 
 // spanInfo rides the request context so handlers can annotate the span the
@@ -239,8 +226,8 @@ func (o *Observer) traceID(r *http.Request, seq uint64) string {
 
 // observe is the request middleware: counts the arrival, stamps the trace
 // ID, runs the handler with a status-capturing writer, then records
-// latency (cumulative + rolling), taxonomy errors, and — for head-sampled
-// requests — a span through the obs sink.
+// latency into the endpoint's one histogram, taxonomy errors, and — for
+// head-sampled requests — a span through the obs sink.
 func (o *Observer) observe(endpoint string, hist *obs.Histogram, h http.HandlerFunc, w http.ResponseWriter, r *http.Request) {
 	seq := o.seq.Add(1)
 	o.requests[endpoint].Inc()
@@ -262,7 +249,6 @@ func (o *Observer) observe(endpoint string, hist *obs.Histogram, h http.HandlerF
 	dur := time.Since(start)
 
 	hist.Record(dur.Nanoseconds())
-	o.rolling[endpoint].Record(dur.Nanoseconds())
 	status := sw.status
 	if status == 0 {
 		status = http.StatusOK

@@ -82,10 +82,23 @@ func TestObserverCountsRequests(t *testing.T) {
 	if got := parsed[`parconn_http_request_duration_seconds_count{endpoint="component"}`]; got != 3 {
 		t.Errorf("duration count = %v, want 3", got)
 	}
-	// Rolling quantile gauges exist and are positive right after traffic.
-	p99 := parsed[`parconn_http_rolling_latency_seconds{endpoint="component",quantile="0.99"}`]
-	if p99 <= 0 {
-		t.Errorf("rolling p99 = %v, want > 0", p99)
+	if got := parsed[`parconn_http_request_duration_seconds_bucket{endpoint="component",le="+Inf"}`]; got != 3 {
+		t.Errorf("duration +Inf bucket = %v, want 3", got)
+	}
+	if got := parsed[`parconn_http_request_duration_seconds_sum{endpoint="component"}`]; got <= 0 {
+		t.Errorf("duration sum = %v, want > 0", got)
+	}
+	// One histogram feeds both views: /v1/stats counts exactly the
+	// requests /metrics does (the stats request itself is recorded only
+	// after its handler returns, so it does not perturb the component row).
+	var stats struct {
+		Endpoints map[string]struct {
+			Count int64 `json:"count"`
+		} `json:"endpoints"`
+	}
+	getJSON(t, ts.URL+"/v1/stats", &stats)
+	if got := stats.Endpoints[EndpointComponent].Count; float64(got) != parsed[`parconn_http_request_duration_seconds_count{endpoint="component"}`] {
+		t.Errorf("/v1/stats component count = %d, /metrics count = %v", got, parsed[`parconn_http_request_duration_seconds_count{endpoint="component"}`])
 	}
 	if got := parsed["parconn_ready"]; got != 1 {
 		t.Errorf("parconn_ready = %v, want 1", got)

@@ -6,9 +6,10 @@
 // ([Server.Publish]) and never mutated afterwards, so every query handler
 // reads it lock-free and concurrently; until Publish, the /v1 endpoints
 // answer 503 and /v1/healthz acts as the readiness gate. Per-endpoint
-// latency is recorded into wait-free obs.Histograms and exposed both in
-// /v1/stats and programmatically for the serving benchmark
-// (internal/bench/serveload).
+// latency is recorded once per request into a wait-free obs.Histogram; the
+// same histogram feeds /v1/stats and, with an Observer attached, the
+// parconn_http_request_duration_seconds series on /metrics. End-to-end
+// serving numbers come from perfbench (see perfbench/README.md).
 //
 // Endpoints (all JSON):
 //
@@ -69,8 +70,8 @@ type Config struct {
 	// TopK is how many largest components /v1/stats reports (0 = 5).
 	TopK int
 	// Observer, when set, instruments every timed endpoint with request
-	// counters, error-taxonomy counters, rolling latency quantiles, trace
-	// IDs, and head-sampled spans (see NewObserver). Nil serves without
+	// counters, error-taxonomy counters, trace IDs, and head-sampled spans
+	// (see NewObserver). Nil serves without
 	// request-plane observability, exactly as before.
 	Observer *Observer
 	// Metrics is the registry Observer's server-state series (cumulative
@@ -234,9 +235,8 @@ func (s *Server) Handler() http.Handler {
 
 // timed wraps a handler with latency recording. The histogram is wait-free,
 // so concurrent requests never serialize on it. With an Observer attached,
-// the full request middleware (trace IDs, taxonomy counters, rolling
-// quantiles, sampled spans) runs instead; latency lands in the same
-// histogram either way.
+// the full request middleware (trace IDs, taxonomy counters, sampled
+// spans) runs instead; latency lands in the same histogram either way.
 func (s *Server) timed(name string, h http.HandlerFunc) http.HandlerFunc {
 	hist := s.lat[name]
 	if o := s.obs; o != nil {

@@ -4,7 +4,6 @@ import (
 	"io"
 	"time"
 
-	"parconn/internal/core"
 	"parconn/internal/decomp"
 	"parconn/internal/obs"
 )
@@ -45,8 +44,8 @@ type Span = obs.Span
 type SpanRecorder = obs.SpanRecorder
 
 // Trace is the in-memory Recorder: it stores every event in arrival order
-// and can re-emit them as JSONL. It subsumes PhaseTimes/LevelStat — see
-// PhaseTimesOf and LevelStatsOf.
+// and can re-emit them as JSONL. Per-level statistics are its LevelEnds;
+// PhaseTimesOf folds its Phase events into the paper's breakdown.
 type Trace = obs.Trace
 
 // NewTrace returns an empty in-memory trace recorder.
@@ -138,13 +137,9 @@ func ValidateTrace(r io.Reader) (TraceSummary, error) { return obs.ValidateJSONL
 // (e.g. a Trace's Events slice re-parsed from JSONL).
 func ValidateTraceEvents(events []obs.Event) (TraceSummary, error) { return obs.Validate(events) }
 
-// PhaseTimesOf rebuilds the legacy per-phase breakdown from a trace — the
-// compatibility view that Options.Phases is now a shorthand for.
+// PhaseTimesOf folds a trace's Phase events into the paper's per-phase
+// breakdown (Figures 5-7), summed across levels.
 func PhaseTimesOf(t *Trace) PhaseTimes { return decomp.PhaseTimesFrom(t.Phases()) }
-
-// LevelStatsOf rebuilds the legacy per-level statistics from a trace — the
-// compatibility view that Options.Levels is now a shorthand for.
-func LevelStatsOf(t *Trace) []LevelStat { return core.LevelStatsFrom(t.LevelEnds()) }
 
 // now is the single clock read for run timing in this package; the
 // stopwatch is diagnostic instrumentation, not algorithmic state.

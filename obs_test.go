@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"math"
 	"testing"
+	"time"
+
+	"parconn/internal/obs"
 )
 
 var decompAlgorithms = []Algorithm{DecompArbHybrid, DecompArb, DecompMin}
@@ -86,34 +89,30 @@ func TestTraceBracketing(t *testing.T) {
 	}
 }
 
-// TestTraceCompatViews checks that the legacy Phases/Levels accumulators and
-// the trace-derived views are built from the same event stream: attaching
-// both must produce identical numbers.
+// TestTraceCompatViews checks the paper-shaped views the bench harness
+// reads off a trace: PhaseTimesOf folds every timed phase event into
+// exactly one Figures 5-7 bucket (only the observability-only measure
+// phase stays out), and LevelEnds starts from the whole graph.
 func TestTraceCompatViews(t *testing.T) {
 	g := RMatGraph(9, RMatOptions{EdgeFactor: 8, Seed: 2})
 	for _, alg := range decompAlgorithms {
 		tr := NewTrace()
-		var pt PhaseTimes
-		var ls []LevelStat
-		if _, err := ConnectedComponents(g, Options{
-			Algorithm: alg, Seed: 9, Recorder: tr, Phases: &pt, Levels: &ls,
-		}); err != nil {
+		if _, err := ConnectedComponents(g, Options{Algorithm: alg, Seed: 9, Recorder: tr}); err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
-		if got := PhaseTimesOf(tr); got != pt {
-			t.Fatalf("%v: PhaseTimesOf %+v != legacy %+v", alg, got, pt)
-		}
-		got := LevelStatsOf(tr)
-		if len(got) != len(ls) {
-			t.Fatalf("%v: %d trace levels vs %d legacy", alg, len(got), len(ls))
-		}
-		for i := range ls {
-			if got[i] != ls[i] {
-				t.Fatalf("%v: level %d: %+v != %+v", alg, i, got[i], ls[i])
+		pt := PhaseTimesOf(tr)
+		var want time.Duration
+		for _, ph := range tr.Phases() {
+			if ph.Name != obs.PhaseMeasure {
+				want += ph.Duration
 			}
 		}
-		if pt.Total() <= 0 || len(ls) == 0 {
-			t.Fatalf("%v: empty legacy views %+v %v", alg, pt, ls)
+		if pt.Total() <= 0 || pt.Total() != want {
+			t.Fatalf("%v: PhaseTimesOf total %v, phase events sum to %v", alg, pt.Total(), want)
+		}
+		ls := tr.LevelEnds()
+		if len(ls) == 0 || ls[0].EdgesIn != 2*g.NumEdges() {
+			t.Fatalf("%v: level view %+v, want level 0 to hold all %d directed edges", alg, ls, 2*g.NumEdges())
 		}
 	}
 }
