@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		csvDir     = fs.String("csv", "", "also write each table as CSV into this directory")
 		jsonPath   = fs.String("json", "", "output path for the json/speedup experiments (default BENCH_<experiment>.json)")
 		tracePath  = fs.String("trace", "", "write a JSONL observability trace of every timed run (perturbs timings)")
-		httpAddr   = fs.String("http", "", "serve /debug/parconn, /debug/vars, and /debug/pprof on this address while experiments run")
+		httpAddr   = fs.String("http", "", "serve /metrics, /debug/parconn, /debug/vars, and /debug/pprof on this address while experiments run")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

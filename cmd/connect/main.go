@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"parconn"
+	"parconn/cmd/internal/graphsrc"
 	"parconn/internal/obs/obshttp"
 )
 
@@ -36,14 +37,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("connect", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	src := graphsrc.Flags(fs)
 	var (
-		inPath    = fs.String("in", "", "input graph file (AdjacencyGraph or binary format)")
-		gen       = fs.String("gen", "", "generator: random, rmat, grid3d, line, social, star")
-		n         = fs.Int("n", 1_000_000, "vertex count for random/line/star generators")
-		scale     = fs.Int("scale", 18, "log2 vertex count for rmat/social generators")
-		side      = fs.Int("side", 100, "side length for grid3d")
-		degree    = fs.Int("degree", 5, "edges per vertex for random; edge factor for rmat")
-		seed      = fs.Uint64("seed", 42, "random seed (generators and algorithm)")
 		algName   = fs.String("algorithm", "decomp-arb-hybrid-CC", "algorithm (see parconn.Algorithms)")
 		beta      = fs.Float64("beta", 0.2, "decomposition beta")
 		procs     = fs.Int("procs", 0, "max workers (0 = all cores)")
@@ -54,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stats     = fs.Bool("stats", false, "print structural statistics of the input graph")
 		tracePath = fs.String("trace", "", "write the observability event stream to this file as JSONL")
 		validate  = fs.String("validate-trace", "", "validate a JSONL trace file written by -trace and exit")
-		httpAddr  = fs.String("http", "", "serve /debug/parconn, /debug/vars, and /debug/pprof on this address (e.g. :6060) while the run executes")
+		httpAddr  = fs.String("http", "", "serve /metrics, /debug/parconn, /debug/vars, and /debug/pprof on this address (e.g. :6060) while the run executes")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -119,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rec = parconn.MultiRecorder(rec, state.Recorder())
 	}
 
-	g, err := loadGraph(*inPath, *gen, *n, *scale, *side, *degree, *seed)
+	g, _, err := src.Load("connect")
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -135,13 +130,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "graph: %d vertices, %d undirected edges\n", g.NumVertices(), g.NumEdges())
 	if *stats {
-		fmt.Fprintf(stdout, "stats: %v\n", parconn.Summarize(g, *seed))
+		fmt.Fprintf(stdout, "stats: %v\n", parconn.Summarize(g, src.Seed))
 	}
 
 	if *decompose {
 		start := time.Now()
 		d, err := parconn.Decompose(g, parconn.DecompOptions{
-			Algorithm: alg, Beta: *beta, Seed: *seed, Procs: *procs, Recorder: rec,
+			Algorithm: alg, Beta: *beta, Seed: src.Seed, Procs: *procs, Recorder: rec,
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
@@ -166,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	start := time.Now()
 	labels, err := parconn.ConnectedComponents(g, parconn.Options{
-		Algorithm: alg, Beta: *beta, Seed: *seed, Procs: *procs, Recorder: rec,
+		Algorithm: alg, Beta: *beta, Seed: src.Seed, Procs: *procs, Recorder: rec,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -201,47 +196,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-func loadGraph(inPath, gen string, n, scale, side, degree int, seed uint64) (*parconn.Graph, error) {
-	if inPath != "" {
-		f, err := os.Open(inPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		br := bufio.NewReaderSize(f, 1<<20)
-		// Sniff the format: binary starts with "PCONNGR1", the PBBS text
-		// format with "AdjacencyGraph"; anything else is treated as a
-		// SNAP-style edge list.
-		if head, err := br.Peek(14); err == nil {
-			switch {
-			case string(head[:8]) == "PCONNGR1":
-				return parconn.ReadBinaryGraph(br)
-			case string(head) == "AdjacencyGraph":
-				return parconn.ReadGraph(br)
-			}
-		}
-		return parconn.ReadEdgeList(br)
-	}
-	switch gen {
-	case "random":
-		return parconn.RandomGraph(n, degree, seed), nil
-	case "rmat":
-		return parconn.RMatGraph(scale, parconn.RMatOptions{EdgeFactor: degree, Seed: seed}), nil
-	case "grid3d":
-		return parconn.Grid3DGraph(side, seed), nil
-	case "line":
-		return parconn.LineGraph(n, seed), nil
-	case "social":
-		return parconn.SocialGraph(scale, seed), nil
-	case "star":
-		return parconn.StarGraph(n), nil
-	case "":
-		return nil, fmt.Errorf("connect: need -in FILE or -gen NAME")
-	default:
-		return nil, fmt.Errorf("connect: unknown generator %q", gen)
-	}
 }
 
 func writeLabels(path string, labels []int32) error {

@@ -60,7 +60,7 @@ func TestRunFileRoundTripAndLabels(t *testing.T) {
 	labelsPath := filepath.Join(dir, "labels.txt")
 
 	// Write a graph file via the library, then feed it back through -in.
-	g := mustLine(t, 100)
+	g := parconn.LineGraph(100, 1)
 	f, err := os.Create(graphPath)
 	if err != nil {
 		t.Fatal(err)
@@ -110,15 +110,6 @@ func TestRunErrors(t *testing.T) {
 	if code, _, _ := runCapture(t, "-gen", "line", "-n", "10", "-decompose", "-algorithm", "serial-SF"); code == 0 {
 		t.Fatal("decompose with non-decomposition algorithm accepted")
 	}
-}
-
-func mustLine(t *testing.T, n int) *parconn.Graph {
-	t.Helper()
-	g, err := loadGraph("", "line", n, 0, 0, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
 }
 
 func TestRunEdgeListInput(t *testing.T) {

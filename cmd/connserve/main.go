@@ -12,9 +12,9 @@
 // POST /v1/insert (batched edge insertion into the incremental layer,
 // unless -incremental=false), GET /v1/stats, GET /v1/healthz (see
 // internal/serve), GET /metrics (Prometheus text: request counters, error
-// taxonomy, request-latency histograms, runtime series), plus the obshttp
-// debug surface (/debug/parconn, /debug/vars, /debug/pprof/) fed by the
-// labeling run.
+// taxonomy, request-latency histograms, the labeling run's parconn_cc_*
+// series, runtime series), plus the obshttp debug surface (/debug/parconn,
+// /debug/vars, /debug/pprof/).
 //
 // Every /v1 request carries a Parconn-Trace-Id response header (client
 // value echoed when supplied); one request in -span-sample is recorded as
@@ -31,7 +31,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -43,6 +42,7 @@ import (
 	"time"
 
 	"parconn"
+	"parconn/cmd/internal/graphsrc"
 	"parconn/internal/obs"
 	"parconn/internal/obs/obshttp"
 	"parconn/internal/serve"
@@ -59,15 +59,9 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("connserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	src := graphsrc.Flags(fs)
 	var (
 		addr     = fs.String("addr", ":8080", "HTTP listen address")
-		inPath   = fs.String("in", "", "input graph file (AdjacencyGraph, binary, or edge-list format)")
-		gen      = fs.String("gen", "", "generator: random, rmat, grid3d, line, social, star")
-		n        = fs.Int("n", 1_000_000, "vertex count for random/line/star generators")
-		scale    = fs.Int("scale", 18, "log2 vertex count for rmat/social generators")
-		side     = fs.Int("side", 100, "side length for grid3d")
-		degree   = fs.Int("degree", 5, "edges per vertex for random; edge factor for rmat")
-		seed     = fs.Uint64("seed", 42, "random seed (generators and algorithm)")
 		algName  = fs.String("algorithm", "decomp-arb-hybrid-CC", "algorithm (see parconn.Algorithms)")
 		beta     = fs.Float64("beta", 0.2, "decomposition beta")
 		procs    = fs.Int("procs", 0, "max workers for the labeling run (0 = all cores)")
@@ -84,7 +78,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	// Fail fast on a bad spec before binding the port: a server that will
 	// never become ready should not look half-started to an orchestrator.
-	if *inPath == "" && *gen == "" {
+	if src.In == "" && src.Gen == "" {
 		fmt.Fprintln(stderr, "connserve: need -in FILE or -gen NAME")
 		return 2
 	}
@@ -131,7 +125,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "connserve: listening on http://%s (healthz 503 until ready)\n", srv.Addr())
 
 	loadStart := time.Now()
-	g, source, err := loadGraph(*inPath, *gen, *n, *scale, *side, *degree, *seed)
+	g, source, err := src.Load("connserve")
 	if err != nil {
 		srv.Close()
 		fmt.Fprintln(stderr, err)
@@ -143,7 +137,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	labelStart := time.Now()
 	labels, err := parconn.ConnectedComponents(g, parconn.Options{
-		Algorithm: alg, Beta: *beta, Seed: *seed, Procs: *procs, Recorder: state.Recorder(),
+		Algorithm: alg, Beta: *beta, Seed: src.Seed, Procs: *procs, Recorder: state.Recorder(),
 	})
 	if err != nil {
 		srv.Close()
@@ -195,44 +189,4 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// loadGraph mirrors cmd/connect's loader and additionally reports a
-// human-readable source spec for /v1/stats.
-func loadGraph(inPath, gen string, n, scale, side, degree int, seed uint64) (*parconn.Graph, string, error) {
-	if inPath != "" {
-		f, err := os.Open(inPath)
-		if err != nil {
-			return nil, "", err
-		}
-		defer f.Close()
-		br := bufio.NewReaderSize(f, 1<<20)
-		var g *parconn.Graph
-		if head, err := br.Peek(14); err == nil && string(head[:8]) == "PCONNGR1" {
-			g, err = parconn.ReadBinaryGraph(br)
-			return g, inPath, err
-		} else if err == nil && string(head) == "AdjacencyGraph" {
-			g, err = parconn.ReadGraph(br)
-			return g, inPath, err
-		}
-		g, err = parconn.ReadEdgeList(br)
-		return g, inPath, err
-	}
-	switch gen {
-	case "random":
-		return parconn.RandomGraph(n, degree, seed), fmt.Sprintf("gen:random(n=%d,degree=%d)", n, degree), nil
-	case "rmat":
-		return parconn.RMatGraph(scale, parconn.RMatOptions{EdgeFactor: degree, Seed: seed}),
-			fmt.Sprintf("gen:rmat(scale=%d,ef=%d)", scale, degree), nil
-	case "grid3d":
-		return parconn.Grid3DGraph(side, seed), fmt.Sprintf("gen:grid3d(side=%d)", side), nil
-	case "line":
-		return parconn.LineGraph(n, seed), fmt.Sprintf("gen:line(n=%d)", n), nil
-	case "social":
-		return parconn.SocialGraph(scale, seed), fmt.Sprintf("gen:social(scale=%d)", scale), nil
-	case "star":
-		return parconn.StarGraph(n), fmt.Sprintf("gen:star(n=%d)", n), nil
-	default:
-		return nil, "", fmt.Errorf("connserve: unknown generator %q", gen)
-	}
 }

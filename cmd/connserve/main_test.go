@@ -576,6 +576,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		`parconn_http_spans_sampled_total`:                                             8,
 		`parconn_ready`:                                                                1,
 		`parconn_published_epoch`:                                                      1,
+		// The startup labeling run, through state.Recorder().
+		`parconn_cc_runs_total`:     1,
+		`parconn_cc_runs_in_flight`: 0,
 	}
 	for key, want := range expect {
 		got, ok := parsed[key]
@@ -608,7 +611,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats struct {
-		Endpoints map[string]struct {
+		Components int `json:"components"`
+		Endpoints  map[string]struct {
 			Count int64 `json:"count"`
 		} `json:"endpoints"`
 	}
@@ -619,6 +623,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if got, want := float64(stats.Endpoints["component"].Count), parsed[`parconn_http_request_duration_seconds_count{endpoint="component"}`]; got != want {
 		t.Errorf("/v1/stats component count = %v, /metrics count = %v", got, want)
+	}
+	// The labeling run's answer on /metrics is the published one.
+	if got, want := parsed["parconn_cc_last_components"], float64(stats.Components); got != want || want < 1 {
+		t.Errorf("parconn_cc_last_components = %v, /v1/stats components = %v", got, want)
 	}
 
 	// Shutdown flushes the span trace; every request above was sampled.

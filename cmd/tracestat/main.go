@@ -2,16 +2,14 @@
 // written by cmd/connect, cmd/bench, or any JSONLRecorder. It is the
 // offline read side of the event stream: "summary" turns one trace into
 // per-phase histogram and per-level edge-decay tables; "diff" compares a
-// trace against an older trace (or against BENCH_parconn.json) and exits
-// non-zero when a metric regressed past the tolerance, which makes it
-// usable as a CI perf gate.
+// trace against an older trace and exits non-zero when a metric regressed
+// past the tolerance, which makes it usable as a CI perf gate.
 //
 // Usage:
 //
 //	tracestat summary run.jsonl
 //	tracestat diff baseline.jsonl run.jsonl
 //	tracestat diff -tol 2 -floor 20ms baseline.jsonl run.jsonl
-//	tracestat diff -input rMat BENCH_parconn.json run.jsonl
 //
 // Diff compares, for every metric present on both sides: total time per
 // phase name and median run duration per algorithm. A metric regresses
@@ -62,12 +60,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 func usage(w io.Writer) {
 	fmt.Fprint(w, `usage:
   tracestat summary TRACE.jsonl
-  tracestat diff [-tol N] [-floor DUR] [-input NAME] BASE NEW.jsonl
+  tracestat diff [-tol N] [-floor DUR] BASE.jsonl NEW.jsonl
   tracestat speedup [-algorithm NAME] [-efficiency-floor F] BENCH_speedup.json
 
-BASE is either a JSONL trace or a BENCH_parconn.json benchmark report
-(detected by shape). Speedup gates a cmd/bench -experiment speedup report:
-every point of the gated algorithm must reach the efficiency floor.
+Diff compares two JSONL traces. Speedup gates a cmd/bench -experiment
+speedup report: every point of the gated algorithm must reach the
+efficiency floor.
 Serving and churn are measured and compared by perfbench (see
 perfbench/README.md), not here.
 `)
@@ -104,11 +102,11 @@ type runStat struct {
 
 // traceStats is everything the summary and diff views need from a trace.
 type traceStats struct {
-	Env    parconn.Env
-	Runs   []runStat
-	Phases map[string]*parconn.Histogram // phase name -> duration ns, all levels merged
-	Levels []levelStat                   // indexed by level
-	Hists  *parconn.HistogramSet         // frontier + per-round histograms via replay
+	Env      parconn.Env
+	Runs     []runStat
+	Phases   map[string]*parconn.Histogram // phase name -> duration ns, all levels merged
+	Levels   []levelStat                   // indexed by level
+	Frontier parconn.Histogram             // Round.Frontier samples
 }
 
 // levelStat aggregates the LevelEnd events of one contraction level across
@@ -126,9 +124,7 @@ func statsOf(events []parconn.TraceEvent) *traceStats {
 	st := &traceStats{
 		Env:    parconn.TraceEnvOf(events),
 		Phases: map[string]*parconn.Histogram{},
-		Hists:  parconn.NewHistogramSet(),
 	}
-	parconn.ReplayTrace(st.Hists, events)
 	var open *runStat
 	for _, ev := range events {
 		switch v := ev.V.(type) {
@@ -151,6 +147,8 @@ func statsOf(events []parconn.TraceEvent) *traceStats {
 				st.Phases[v.Name] = h
 			}
 			h.Record(v.Duration.Nanoseconds())
+		case parconn.Round:
+			st.Frontier.Record(int64(v.Frontier))
 		case parconn.LevelEnd:
 			for len(st.Levels) <= v.Level {
 				st.Levels = append(st.Levels, levelStat{})
@@ -243,7 +241,7 @@ func runSummary(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if fr := st.Hists.Frontier().Snapshot(); fr.Count > 0 {
+	if fr := st.Frontier.Snapshot(); fr.Count > 0 {
 		fmt.Fprintf(stdout, "\nfrontier sizes: %s\n", fr)
 	}
 
@@ -262,81 +260,12 @@ func runSummary(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// metric is one comparable quantity extracted from a trace or a bench
-// report; values are nanoseconds.
+// metric is one comparable quantity extracted from a trace; values are
+// nanoseconds.
 type metric struct {
 	base, new int64
 	hasBase   bool
 	hasNew    bool
-}
-
-// benchBaseline mirrors the subset of internal/bench's BENCH_parconn.json
-// schema this tool reads. Kept as a local struct: importing internal/bench
-// would pull the testing package into a shipped binary.
-type benchBaseline struct {
-	GoVersion  string      `json:"go_version"`
-	GoMaxProcs int         `json:"gomaxprocs"`
-	Env        parconn.Env `json:"env"`
-	Results    []struct {
-		Input     string  `json:"input"`
-		Algorithm string  `json:"algorithm"`
-		NsPerOp   float64 `json:"ns_per_op"`
-	} `json:"results"`
-}
-
-// loadBase loads the diff baseline: a JSONL trace, or a bench report
-// (detected by successfully decoding the whole file as one report object
-// with results). A bench report has per-(input, algorithm) cells while a
-// trace only knows the algorithm, so input narrows the report to one
-// input family; when empty the slowest input per algorithm is taken as
-// the (conservative) baseline. For trace baselines input is ignored.
-func loadBase(path, input string) (map[string]int64, parconn.Env, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, parconn.Env{}, err
-	}
-	var rep benchBaseline
-	if err := json.Unmarshal(data, &rep); err == nil && len(rep.Results) > 0 {
-		env := rep.Env
-		if env.IsZero() {
-			env = parconn.Env{GoVersion: rep.GoVersion, GoMaxProcs: rep.GoMaxProcs}
-		}
-		m := map[string]int64{}
-		found := false
-		for _, r := range rep.Results {
-			if input != "" && r.Input != input {
-				continue
-			}
-			found = true
-			key := "run/" + r.Algorithm
-			if ns := int64(r.NsPerOp); ns > m[key] {
-				m[key] = ns
-			}
-		}
-		if !found {
-			return nil, parconn.Env{}, fmt.Errorf("%s: no results for input %q", path, input)
-		}
-		return m, env, nil
-	}
-	events, _, err := loadTraceBytes(path, data)
-	if err != nil {
-		return nil, parconn.Env{}, err
-	}
-	st := statsOf(events)
-	return st.metrics(), st.Env, nil
-}
-
-// loadTraceBytes parses an already-read trace file.
-func loadTraceBytes(path string, data []byte) ([]parconn.TraceEvent, parconn.TraceSummary, error) {
-	events, err := parconn.ParseTrace(strings.NewReader(string(data)))
-	if err != nil {
-		return nil, parconn.TraceSummary{}, fmt.Errorf("%s: %w", path, err)
-	}
-	sum, err := parconn.ValidateTraceEvents(events)
-	if err != nil {
-		return nil, parconn.TraceSummary{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return events, sum, nil
 }
 
 // metrics flattens a trace into the comparable quantities diff gates on:
@@ -366,7 +295,6 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 	var (
 		tol   = fs.Float64("tol", 1.5, "regression threshold: new > base*tol flags the metric")
 		floor = fs.Duration("floor", 2*time.Millisecond, "ignore regressions whose absolute increase is below this duration")
-		input = fs.String("input", "", "bench-report baselines only: gate against this input family (default: slowest per algorithm)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -381,7 +309,7 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 	}
 	basePath, newPath := fs.Arg(0), fs.Arg(1)
 
-	base, baseEnv, err := loadBase(basePath, *input)
+	baseEvents, _, err := loadTrace(basePath)
 	if err != nil {
 		fmt.Fprintf(stderr, "tracestat: %v\n", err)
 		return 2
@@ -391,15 +319,15 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tracestat: %v\n", err)
 		return 2
 	}
-	newStats := statsOf(newEvents)
+	baseStats, newStats := statsOf(baseEvents), statsOf(newEvents)
 
-	if diffs := baseEnv.Mismatch(newStats.Env); len(diffs) > 0 {
+	if diffs := baseStats.Env.Mismatch(newStats.Env); len(diffs) > 0 {
 		fmt.Fprintf(stderr, "tracestat: WARNING: environment mismatch (timings not directly comparable): %s\n",
 			strings.Join(diffs, "; "))
 	}
 
 	merged := map[string]*metric{}
-	for k, v := range base {
+	for k, v := range baseStats.metrics() {
 		merged[k] = &metric{base: v, hasBase: true}
 	}
 	for k, v := range newStats.metrics() {
@@ -455,7 +383,8 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 }
 
 // speedupReport mirrors the subset of internal/bench's BENCH_speedup.json
-// schema this tool gates on (local for the same reason as benchBaseline).
+// schema this tool gates on. Kept as a local struct: importing
+// internal/bench would pull the testing package into a shipped binary.
 type speedupReport struct {
 	Env     parconn.Env `json:"env"`
 	Results []struct {

@@ -155,49 +155,6 @@ func TestDiffEnvMismatchWarns(t *testing.T) {
 	}
 }
 
-func TestDiffAgainstBenchReport(t *testing.T) {
-	dir := t.TempDir()
-	trace := filepath.Join(dir, "t.jsonl")
-	writeFixtureTrace(t, trace, 40*time.Millisecond, parconn.Env{}) // run duration 150ms
-	rep := map[string]any{
-		"go_version": "go1.24.0",
-		"gomaxprocs": 1,
-		"results": []map[string]any{
-			// Slowest input wins as baseline: 200ms, so the 150ms run passes.
-			{"input": "rMat", "algorithm": "decomp-arb-hybrid-CC", "ns_per_op": 200e6},
-			{"input": "random", "algorithm": "decomp-arb-hybrid-CC", "ns_per_op": 50e6},
-			{"input": "rMat", "algorithm": "serial-SF", "ns_per_op": 10e6},
-		},
-	}
-	bench := filepath.Join(dir, "BENCH.json")
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(bench, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	code, out, errb := runCapture(t, "diff", bench, trace)
-	if code != 0 {
-		t.Fatalf("exit=%d stderr=%s\n%s", code, errb, out)
-	}
-	if !strings.Contains(out, "run/decomp-arb-hybrid-CC") {
-		t.Fatalf("bench metric not compared:\n%s", out)
-	}
-
-	// Narrowed to the fast input, the same run is a 3x regression.
-	code, out, _ = runCapture(t, "diff", "-input", "random", bench, trace)
-	if code != 1 || !strings.Contains(out, "REGRESSION") {
-		t.Fatalf("exit=%d want 1:\n%s", code, out)
-	}
-
-	// Unknown input family is an input error, not a silent pass.
-	if code, _, _ := runCapture(t, "diff", "-input", "nope", bench, trace); code != 2 {
-		t.Fatalf("unknown input: exit=%d want 2", code)
-	}
-}
-
 func TestUsageAndInputErrors(t *testing.T) {
 	if code, _, _ := runCapture(t); code != 2 {
 		t.Fatal("no args accepted")
@@ -213,6 +170,10 @@ func TestUsageAndInputErrors(t *testing.T) {
 	}
 	if code, _, _ := runCapture(t, "diff", "/nonexistent.jsonl", "/nonexistent.jsonl"); code != 2 {
 		t.Fatal("missing diff inputs accepted")
+	}
+	// Diff compares traces only; the bench-report baseline flag is gone.
+	if code, _, errb := runCapture(t, "diff", "-input", "rMat", "a.json", "b.jsonl"); code != 2 || !strings.Contains(errb, "-input") {
+		t.Fatalf("diff -input: exit=%d stderr=%s", code, errb)
 	}
 	// The serving gates moved to perfbench; their old names are unknown
 	// subcommands now, not silent passes.

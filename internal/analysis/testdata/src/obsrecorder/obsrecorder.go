@@ -48,15 +48,10 @@ func racyFlightRecorder(fr *obs.FlightRecorder, xs []int) {
 	})
 }
 
-func racyProgressSink(p *obs.Progress, xs []int) {
+func racyCCMetrics(reg *metrics.Registry, xs []int) {
+	rec := metrics.RegisterCC(reg)
 	parallel.Blocks(0, len(xs), 0, func(lo, hi int) {
-		p.Phase(obs.Phase{Name: "init"}) // want "Phase"
-	})
-}
-
-func racyHistogramSet(hs *obs.HistogramSet, xs []int) {
-	parallel.For(0, len(xs), func(i int) {
-		hs.Phase(obs.Phase{Name: "init"}) // want "Phase"
+		rec.Phase(obs.Phase{Name: "init"}) // want "Phase"
 	})
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -20,8 +18,8 @@ const HistogramBuckets = 65
 // frontier sizes) in fixed log2-spaced buckets. The zero value is ready to
 // use. Record is wait-free, allocation-free, and safe from any goroutine —
 // the histogram itself is not a Recorder, so it may legally be fed from
-// inside parallel sections — and Snapshot/Merge may run concurrently with
-// recording (they see a near-consistent view: bucket counts are read one
+// inside parallel sections — and Snapshot may run concurrently with
+// recording (it sees a near-consistent view: bucket counts are read one
 // atomic load at a time, so a snapshot taken mid-record can be off by the
 // in-flight sample).
 type Histogram struct {
@@ -78,33 +76,6 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
-// Merge adds o's counts into h. Both histograms may be live.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	if v := o.max.Load(); v > 0 {
-		for {
-			cur := h.max.Load()
-			if v <= cur || h.max.CompareAndSwap(cur, v) {
-				break
-			}
-		}
-	}
-	if mp := o.minPlus.Load(); mp != 0 {
-		for {
-			cur := h.minPlus.Load()
-			if (cur != 0 && mp >= cur) || h.minPlus.CompareAndSwap(cur, mp) {
-				break
-			}
-		}
-	}
-}
-
 // Reset zeroes the histogram.
 func (h *Histogram) Reset() {
 	for i := range h.buckets {
@@ -131,8 +102,9 @@ type HistogramBucket struct {
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram, carrying only
-// the non-empty buckets. It is the JSON shape served by /debug/parconn and
-// the aggregation unit cmd/tracestat builds its tables from.
+// the non-empty buckets. It is the JSON shape /v1/stats serves, the source
+// /metrics expands into le-buckets, and the aggregation unit cmd/tracestat
+// builds its tables from.
 type HistogramSnapshot struct {
 	Count   int64             `json:"count"`
 	Sum     int64             `json:"sum"`
@@ -214,112 +186,6 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 		return min(max(v, s.Min), s.Max)
 	}
 	return s.Max
-}
-
-// phaseKey identifies one per-level phase histogram.
-type phaseKey struct {
-	level int
-	name  string
-}
-
-// HistogramSet is a Recorder aggregating the event stream into histograms:
-// one per (level, phase name) over phase durations, one over per-round
-// frontier sizes, and one over per-round durations. The record path is
-// allocation-free in the steady state (a histogram allocates once when its
-// (level, phase) key first appears); sinks shared by concurrent runs are
-// safe, per the Recorder contract.
-type HistogramSet struct {
-	Nop
-
-	mu     sync.RWMutex
-	phases map[phaseKey]*Histogram
-
-	frontier Histogram // Round.Frontier samples
-	roundNS  Histogram // Round.Duration samples, nanoseconds
-}
-
-// NewHistogramSet returns an empty set.
-func NewHistogramSet() *HistogramSet {
-	return &HistogramSet{phases: make(map[phaseKey]*Histogram)}
-}
-
-// phaseHist returns the histogram for (level, name), creating it on first
-// use. Steady-state lookups take only the read lock and do not allocate.
-func (s *HistogramSet) phaseHist(level int, name string) *Histogram {
-	k := phaseKey{level: level, name: name}
-	s.mu.RLock()
-	h := s.phases[k]
-	s.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	s.mu.Lock()
-	if h = s.phases[k]; h == nil {
-		h = &Histogram{}
-		s.phases[k] = h
-	}
-	s.mu.Unlock()
-	return h
-}
-
-// Phase records the duration into the (level, name) histogram.
-func (s *HistogramSet) Phase(e Phase) {
-	s.phaseHist(e.Level, e.Name).Record(int64(e.Duration))
-}
-
-// Round records the frontier size and round duration.
-func (s *HistogramSet) Round(e Round) {
-	s.frontier.Record(int64(e.Frontier))
-	s.roundNS.Record(int64(e.Duration))
-}
-
-// Frontier exposes the frontier-size histogram (samples are vertex counts).
-func (s *HistogramSet) Frontier() *Histogram { return &s.frontier }
-
-// RoundNS exposes the per-round duration histogram (nanoseconds).
-func (s *HistogramSet) RoundNS() *Histogram { return &s.roundNS }
-
-// PhaseHistogram is one (level, phase) histogram in a snapshot.
-type PhaseHistogram struct {
-	Level int               `json:"level"`
-	Name  string            `json:"name"`
-	Hist  HistogramSnapshot `json:"hist"`
-}
-
-// HistogramSetSnapshot is the JSON shape of a HistogramSet.
-type HistogramSetSnapshot struct {
-	Phases   []PhaseHistogram  `json:"phases,omitempty"`
-	Frontier HistogramSnapshot `json:"frontier"`
-	RoundNS  HistogramSnapshot `json:"round_ns"`
-}
-
-// Snapshot copies every histogram, phases sorted by (level, name).
-func (s *HistogramSet) Snapshot() HistogramSetSnapshot {
-	s.mu.RLock()
-	keys := make([]phaseKey, 0, len(s.phases))
-	for k := range s.phases {
-		keys = append(keys, k)
-	}
-	s.mu.RUnlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].level != keys[j].level {
-			return keys[i].level < keys[j].level
-		}
-		return keys[i].name < keys[j].name
-	})
-	out := HistogramSetSnapshot{
-		Frontier: s.frontier.Snapshot(),
-		RoundNS:  s.roundNS.Snapshot(),
-	}
-	for _, k := range keys {
-		s.mu.RLock()
-		h := s.phases[k]
-		s.mu.RUnlock()
-		out.Phases = append(out.Phases, PhaseHistogram{
-			Level: k.level, Name: k.name, Hist: h.Snapshot(),
-		})
-	}
-	return out
 }
 
 // String summarizes the histogram for debug output.

@@ -1,8 +1,9 @@
-// Package metrics is the request-plane metrics layer of the observability
-// stack: a zero-dependency registry of counters, gauges, and histogram
-// views with Prometheus text exposition, built for the serving path
-// (internal/serve, cmd/connserve) and inherited by anything else that wants
-// a /metrics endpoint (cmd/connect, cmd/bench via obshttp).
+// Package metrics is the scrapeable layer of the observability stack: a
+// zero-dependency registry of counters, gauges, and histogram views with
+// Prometheus text exposition. It carries the serving path's request plane
+// (internal/serve, cmd/connserve), the engine's per-run series
+// (RegisterCC), and process health (RegisterRuntime), and backs every
+// /metrics endpoint (cmd/connect, cmd/bench, cmd/connserve via obshttp).
 //
 // Design constraints, in order:
 //

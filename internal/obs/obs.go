@@ -1,11 +1,13 @@
 // Package obs is the structured observability layer of the connectivity
 // engine: a Recorder interface receiving per-run, per-level, per-round, and
-// per-phase events from the decomposition recursion, plus three concrete
-// sinks (an in-memory Trace, a JSON-lines writer, and an expvar counter
-// set). The paper's whole evaluation (§5, Figures 3-7) is built on exactly
-// these measurements — frontier sizes, cut fractions, phase breakdowns,
-// geometric edge decay across contraction levels — so the event stream is
-// both the bench harness's data source and the production debugging surface.
+// per-phase events from the decomposition recursion, plus the offline and
+// post-mortem sinks (an in-memory Trace, a JSON-lines writer, and a bounded
+// flight recorder). The live view is metrics.RegisterCC, which folds the
+// same stream into /metrics series. The paper's whole evaluation (§5,
+// Figures 3-7) is built on exactly these measurements — frontier sizes, cut
+// fractions, phase breakdowns, geometric edge decay across contraction
+// levels — so the event stream is both the bench harness's data source and
+// the production debugging surface.
 //
 // Contract. A nil Recorder means "disabled" and every instrumentation site
 // guards with one pointer comparison, so observability costs nothing when
@@ -16,7 +18,8 @@
 // accumulates them in a ShardedInt64 and emits the total from the
 // coordinator; cmd/parconnvet's obsrecorder check enforces this. Sinks
 // therefore need no internal locking for correctness within one run, but
-// the provided sinks lock anyway so distinct concurrent runs may share one.
+// the provided sinks synchronize anyway (locks or atomics) so distinct
+// concurrent runs may share one.
 //
 // The package is zero-dependency (stdlib only) and deliberately knows
 // nothing about graphs: events carry plain counts and durations. The
@@ -79,12 +82,23 @@ const (
 	PhaseMeasure     = "measure"      // per-level edge reductions done only for observability
 )
 
+// PhaseNames is the closed set of phase names, in declaration order.
+// Validate rejects any other name, so sinks may pre-allocate one slot each.
+var PhaseNames = [...]string{
+	PhaseSetup, PhaseInit, PhaseBFSPre, PhaseBFSPhase1, PhaseBFSPhase2,
+	PhaseBFSMain, PhaseBFSSparse, PhaseBFSDense, PhaseFilterEdges,
+	PhaseContract, PhaseMeasure,
+}
+
 // Counter names emitted by the engine at the end of a run.
 const (
 	CounterArenaReused = "arena_reused_bytes" // scratch bytes served from the arena free lists
 	CounterArenaAlloc  = "arena_alloc_bytes"  // scratch bytes freshly allocated
 	CounterPoolJoins   = "pool_worker_joins"  // pool helpers that joined parallel sections
 )
+
+// CounterNames is the closed set of counter names, in declaration order.
+var CounterNames = [...]string{CounterArenaReused, CounterArenaAlloc, CounterPoolJoins}
 
 // RunStart describes a connectivity run about to execute.
 type RunStart struct {

@@ -1,8 +1,8 @@
-// Package obshttp is the live read side of the observability layer: a
-// debug HTTP server exposing the engine's current position, phase
-// histograms, and flight-recorder tail while a run executes, alongside the
-// stdlib's pprof and expvar endpoints. Attach a State's Recorder to a run
-// (Options.Recorder) and mount its Handler:
+// Package obshttp is the live read side of the observability layer: one
+// debug HTTP server for a process that runs the connectivity engine. A
+// State's Recorder folds each run into the State's metrics registry
+// (metrics.RegisterCC) and keeps its latest events in a flight recorder.
+// Attach the Recorder to a run (Options.Recorder) and mount the Handler:
 //
 //	state := obshttp.NewState("cmd/connect", 0)
 //	srv, err := obshttp.Serve(":6060", state)
@@ -11,16 +11,18 @@
 //
 // Endpoints:
 //
-//	/metrics        Prometheus text exposition of the State's metrics
-//	                registry (runtime series plus whatever the command adds)
-//	/debug/parconn  JSON snapshot: progress, per-(level, phase) histograms,
-//	                frontier/round histograms, recent events (flight tail)
-//	/debug/vars     expvar counters (cumulative across runs, parconn_* keys)
+//	/metrics        Prometheus text exposition of the State's registry: the
+//	                run's position (level, round, frontier), per-phase and
+//	                per-round histograms, run counters, runtime series, and
+//	                whatever the command adds (e.g. the request plane)
+//	/debug/parconn  JSON snapshot: tool, capture environment, and the
+//	                flight-recorder tail (recent events and sampled spans)
+//	/debug/vars     the stdlib expvar variables (cmdline, memstats)
 //	/debug/pprof/   CPU/heap/goroutine profiles; decomposition levels run
 //	                under parconn_level/parconn_phase pprof labels
 //
-// Everything here reads through atomics or sink-internal locks, so a
-// snapshot request never blocks the run's coordinating goroutine.
+// Everything here reads through atomics or the flight recorder's lock, so
+// a scrape never blocks the run's coordinating goroutine.
 package obshttp
 
 import (
@@ -36,18 +38,17 @@ import (
 	"parconn/internal/obs/metrics"
 )
 
-// State bundles the read-side sinks one process exposes: live progress,
-// histograms, the flight-recorder tail, cumulative expvar counters, and the
-// Prometheus-text metrics registry served at /metrics. One State serves any
-// number of sequential or concurrent runs.
+// State bundles the read side one process exposes: the Prometheus-text
+// metrics registry served at /metrics and the flight-recorder tail served
+// at /debug/parconn. One State serves any number of sequential or
+// concurrent runs.
 type State struct {
-	Progress *obs.Progress
-	Hists    *obs.HistogramSet
-	Flight   *obs.FlightRecorder
+	Flight *obs.FlightRecorder
 	// Metrics is the process metrics registry, pre-seeded with runtime
-	// series (goroutines, heap, GC) and exposed at /metrics on Handler's
-	// mux. Embedding commands register their own series in it (e.g.
-	// serve.NewObserver for the request plane).
+	// series (goroutines, heap, GC) and the engine's parconn_cc_* series,
+	// and exposed at /metrics on Handler's mux. Embedding commands
+	// register their own series in it (e.g. serve.NewObserver for the
+	// request plane).
 	Metrics *metrics.Registry
 
 	tool string
@@ -59,29 +60,26 @@ type State struct {
 // snapshot; flightCap bounds the flight-recorder ring (0 means the default).
 func NewState(tool string, flightCap int) *State {
 	s := &State{
-		Progress: obs.NewProgress(),
-		Hists:    obs.NewHistogramSet(),
-		Flight:   obs.NewFlightRecorder(flightCap),
-		Metrics:  metrics.New(),
-		tool:     tool,
-		env:      obs.CaptureEnv(),
+		Flight:  obs.NewFlightRecorder(flightCap),
+		Metrics: metrics.New(),
+		tool:    tool,
+		env:     obs.CaptureEnv(),
 	}
 	metrics.RegisterRuntime(s.Metrics)
-	s.rec = obs.Multi(s.Progress, s.Hists, s.Flight, obs.NewExpvar(""))
+	s.rec = obs.Multi(metrics.RegisterCC(s.Metrics), s.Flight)
 	return s
 }
 
-// Recorder returns the Recorder that feeds every sink in the bundle. Pass
-// it (possibly through obs.Multi with other sinks) as the run's Recorder.
+// Recorder returns the Recorder that feeds the registry and the flight
+// recorder. Pass it (possibly through obs.Multi with other sinks) as the
+// run's Recorder.
 func (s *State) Recorder() obs.Recorder { return s.rec }
 
 // Snapshot is the JSON document served at /debug/parconn.
 type Snapshot struct {
-	Tool     string                   `json:"tool,omitempty"`
-	Env      obs.Env                  `json:"env"`
-	Progress obs.ProgressSnapshot     `json:"progress"`
-	Hist     obs.HistogramSetSnapshot `json:"histograms"`
-	Flight   FlightSnapshot           `json:"flight"`
+	Tool   string         `json:"tool,omitempty"`
+	Env    obs.Env        `json:"env"`
+	Flight FlightSnapshot `json:"flight"`
 }
 
 // FlightSnapshot is the flight-recorder tail in JSONL event encoding.
@@ -90,7 +88,7 @@ type FlightSnapshot struct {
 	Events  []json.RawMessage `json:"events,omitempty"`
 }
 
-// Snapshot collects the current state of every sink.
+// Snapshot collects the tool, environment, and flight-recorder tail.
 func (s *State) Snapshot() (Snapshot, error) {
 	events, dropped := s.Flight.Snapshot()
 	fs := FlightSnapshot{Dropped: dropped, Events: make([]json.RawMessage, 0, len(events))}
@@ -104,13 +102,7 @@ func (s *State) Snapshot() (Snapshot, error) {
 		// AppendRecord terminates with a newline; RawMessage wants bare JSON.
 		fs.Events = append(fs.Events, json.RawMessage(buf[:len(buf)-1]))
 	}
-	return Snapshot{
-		Tool:     s.tool,
-		Env:      s.env,
-		Progress: s.Progress.Snapshot(),
-		Hist:     s.Hists.Snapshot(),
-		Flight:   fs,
-	}, nil
+	return Snapshot{Tool: s.tool, Env: s.env, Flight: fs}, nil
 }
 
 // serveSnapshot handles GET /debug/parconn.

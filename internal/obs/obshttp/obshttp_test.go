@@ -11,7 +11,36 @@ import (
 	"time"
 
 	"parconn/internal/obs"
+	"parconn/internal/obs/metrics"
 )
+
+// scrapeMetrics GETs /metrics from base and parses the exposition.
+func scrapeMetrics(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics: status %d", resp.StatusCode)
+	}
+	parsed, err := metrics.ParseText(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parsed
+}
+
+// expectSeries checks each series in want against a scrape.
+func expectSeries(t *testing.T, got, want map[string]float64) {
+	t.Helper()
+	for key, w := range want {
+		if g, ok := got[key]; !ok || g != w {
+			t.Errorf("%s = %v (present %v), want %v", key, g, ok, w)
+		}
+	}
+}
 
 // drive pushes one small well-formed run through the state's recorder.
 func drive(rec obs.Recorder) {
@@ -49,15 +78,6 @@ func TestDebugParconnEndpoint(t *testing.T) {
 	if snap.Tool != "obshttp_test" || snap.Env.IsZero() {
 		t.Fatalf("snapshot header %+v %+v", snap.Tool, snap.Env)
 	}
-	if snap.Progress.RunsDone != 1 || snap.Progress.Components != 3 {
-		t.Fatalf("progress %+v", snap.Progress)
-	}
-	if len(snap.Hist.Phases) != 2 {
-		t.Fatalf("phase histograms %+v", snap.Hist.Phases)
-	}
-	if snap.Hist.Frontier.Count != 1 || snap.Hist.Frontier.Max != 10 {
-		t.Fatalf("frontier histogram %+v", snap.Hist.Frontier)
-	}
 	if snap.Flight.Dropped != 0 || len(snap.Flight.Events) != 7 {
 		t.Fatalf("flight %d dropped, %d events", snap.Flight.Dropped, len(snap.Flight.Events))
 	}
@@ -69,6 +89,22 @@ func TestDebugParconnEndpoint(t *testing.T) {
 	if err := json.Unmarshal(snap.Flight.Events[0], &tag); err != nil || tag.Ev != "run_start" {
 		t.Fatalf("flight event %s: tag %q err %v", snap.Flight.Events[0], tag.Ev, err)
 	}
+
+	// The finished run's totals live on /metrics.
+	expectSeries(t, scrapeMetrics(t, srv.URL), map[string]float64{
+		"parconn_cc_runs_total":                              1,
+		"parconn_cc_runs_in_flight":                          0,
+		"parconn_cc_last_components":                         3,
+		"parconn_cc_last_levels":                             1,
+		"parconn_cc_levels_total":                            1,
+		"parconn_cc_rounds_total":                            1,
+		`parconn_cc_phase_seconds_count{phase="bfs_sparse"}`: 1,
+		`parconn_cc_phase_seconds_count{phase="contract"}`:   1,
+		`parconn_cc_phase_seconds_count{phase="init"}`:       0,
+		"parconn_cc_round_frontier_vertices_count":           1,
+		"parconn_cc_round_frontier_vertices_sum":             10,
+		"parconn_cc_round_seconds_count":                     1,
+	})
 }
 
 func TestDebugVarsAndPprofMounted(t *testing.T) {
@@ -105,7 +141,8 @@ func TestServeBindsAndAnswers(t *testing.T) {
 	}
 	defer srv.Shutdown(context.Background())
 	drive(state.Recorder())
-	resp, err := http.Get("http://" + srv.Addr().String() + "/debug/parconn")
+	base := "http://" + srv.Addr().String()
+	resp, err := http.Get(base + "/debug/parconn")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,27 +151,30 @@ func TestServeBindsAndAnswers(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Progress.RunsStarted != 1 {
-		t.Fatalf("progress %+v", snap.Progress)
+	if snap.Tool != "obshttp_test" || len(snap.Flight.Events) == 0 {
+		t.Fatalf("snapshot %+v", snap)
 	}
+	expectSeries(t, scrapeMetrics(t, base), map[string]float64{"parconn_cc_runs_total": 1})
 }
 
 func TestSnapshotDuringLiveRun(t *testing.T) {
-	// A snapshot taken mid-run (between coordinator emissions) must show the
+	// A scrape taken mid-run (between coordinator emissions) must show the
 	// in-flight position without waiting for the run to finish.
 	state := NewState("obshttp_test", 0)
+	srv := httptest.NewServer(state.Handler())
+	defer srv.Close()
 	rec := state.Recorder()
 	rec.RunStart(obs.RunStart{Algorithm: "decomp-arb-CC", Vertices: 10, Edges: 20})
 	rec.LevelStart(obs.LevelStart{Level: 0, Vertices: 10, EdgesIn: 20})
 	rec.Round(obs.Round{Level: 0, Round: 2, Frontier: 5})
 
-	snap, err := state.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snap.Progress.Running || snap.Progress.Level != 0 || snap.Progress.Round != 2 || snap.Progress.Frontier != 5 {
-		t.Fatalf("mid-run progress %+v", snap.Progress)
-	}
+	expectSeries(t, scrapeMetrics(t, srv.URL), map[string]float64{
+		"parconn_cc_runs_in_flight":    1,
+		"parconn_cc_runs_total":        0,
+		"parconn_cc_level":             0,
+		"parconn_cc_round":             2,
+		"parconn_cc_frontier_vertices": 5,
+	})
 }
 
 // TestShutdownDrainsInFlight starts a request that blocks inside its

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"parconn"
+	"parconn/internal/graph"
 )
 
 // testLabeling is two components: evens (label 0) and odds (label 1) over
@@ -241,6 +242,25 @@ func TestStats(t *testing.T) {
 	}
 	if st.Endpoints[EndpointComponent].P99NS <= 0 {
 		t.Fatalf("component p99 not recorded: %+v", st.Endpoints[EndpointComponent])
+	}
+
+	// Ties with k < count: four components, three of size 2; TopK=2 keeps
+	// the two lowest labels among the tied sizes.
+	ties := New(Config{TopK: 2})
+	ties.Publish(Labeling{Labels: []int32{5, 5, 3, 3, 9, 1, 1}, Algorithm: "test"})
+	tts := httptest.NewServer(ties.Handler())
+	defer tts.Close()
+	st = statsResponse{}
+	if code := getJSON(t, tts.URL+"/v1/stats", &st); code != http.StatusOK {
+		t.Fatalf("ties: status %d", code)
+	}
+	want := []graph.ComponentSize{{Label: 1, Size: 2}, {Label: 3, Size: 2}}
+	if st.Components != 4 || len(st.TopComponents) != 2 ||
+		st.TopComponents[0] != want[0] || st.TopComponents[1] != want[1] {
+		t.Fatalf("ties: components %d top %+v, want 4 and %+v", st.Components, st.TopComponents, want)
+	}
+	if st.SizeHistogram.Count != 4 || st.SizeHistogram.Sum != 7 {
+		t.Fatalf("ties: size histogram %+v", st.SizeHistogram)
 	}
 }
 

@@ -10,8 +10,9 @@ import (
 
 // This file is the public face of the observability layer (internal/obs):
 // type aliases so external callers can implement Recorder or consume events
-// without importing an internal package, plus constructors for the three
-// shipped sinks and the legacy-view helpers.
+// without importing an internal package, plus constructors for the shipped
+// sinks and the legacy-view helpers. The live /metrics view of a run is
+// internal/obs/obshttp's State, which commands mount behind -http.
 
 // Recorder receives the structured event stream of connectivity runs: one
 // RunStart/RunEnd pair per ConnectedComponents call, LevelStart/LevelEnd per
@@ -59,31 +60,18 @@ type JSONLRecorder = obs.JSONLWriter
 // NewJSONLRecorder returns a recorder streaming JSONL to w.
 func NewJSONLRecorder(w io.Writer) *JSONLRecorder { return obs.NewJSONLWriter(w) }
 
-// NewExpvarRecorder returns a recorder aggregating events into
-// expvar-published counters for long-running embedders (prefix "" means
-// "parconn_"). Registration is process-permanent; repeated construction
-// with the same prefix reuses the existing variables.
-func NewExpvarRecorder(prefix string) Recorder { return obs.NewExpvar(prefix) }
-
 // MultiRecorder fans events out to every non-nil recorder, returning nil
 // when all are nil.
 func MultiRecorder(recs ...Recorder) Recorder { return obs.Multi(recs...) }
 
 // Histogram counts non-negative samples (nanosecond durations, frontier
 // sizes) in fixed log2-spaced buckets; recording is wait-free and
-// allocation-free, and histograms merge. The zero value is ready to use.
+// allocation-free. The zero value is ready to use.
 type Histogram = obs.Histogram
 
 // HistogramSnapshot is a point-in-time histogram copy with quantile
-// estimation (the JSON shape served by the debug endpoint).
+// estimation (the JSON shape /v1/stats serves).
 type HistogramSnapshot = obs.HistogramSnapshot
-
-// HistogramSet is a Recorder aggregating the event stream into histograms:
-// per-(level, phase) durations, per-round frontier sizes and durations.
-type HistogramSet = obs.HistogramSet
-
-// NewHistogramSet returns an empty histogram-aggregating recorder.
-func NewHistogramSet() *HistogramSet { return obs.NewHistogramSet() }
 
 // FlightRecorder retains the most recent events in a bounded ring for live
 // or post-mortem inspection of a long run's tail.
@@ -92,13 +80,6 @@ type FlightRecorder = obs.FlightRecorder
 // NewFlightRecorder returns a recorder retaining the last n events (n <= 0
 // selects the default capacity).
 func NewFlightRecorder(n int) *FlightRecorder { return obs.NewFlightRecorder(n) }
-
-// Progress exposes the engine's current run/level/round/phase through
-// atomics, so a concurrent reader never blocks the coordinator.
-type Progress = obs.Progress
-
-// NewProgress returns an empty live-progress recorder.
-func NewProgress() *Progress { return obs.NewProgress() }
 
 // Env records the execution environment a trace was captured in; traces
 // from mismatched environments are not directly comparable.
@@ -115,10 +96,6 @@ func TraceEnvOf(events []TraceEvent) Env { return obs.EnvOf(events) }
 // TraceEvent is one parsed trace record: the JSONL kind tag plus the
 // concrete event struct (RunStart, Round, ...) by value.
 type TraceEvent = obs.Event
-
-// ReplayTrace dispatches parsed trace events back into a Recorder, letting
-// offline tools aggregate stored traces through the live sinks.
-func ReplayTrace(rec Recorder, events []TraceEvent) { obs.Replay(rec, events) }
 
 // ParseTrace decodes a JSONL trace stream (as written by JSONLRecorder or
 // Trace.WriteJSONL) back into typed events.
